@@ -359,6 +359,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	mw.SetWriteGate(gate)
 	ctl.SetTelemetry(mw.Telemetry())
 	co.SetTelemetry(mw.Telemetry(), "static")
+	state.SetTelemetry(mw.Telemetry())
 	if qos != nil {
 		qos.Queue().SetTelemetry(mw.Telemetry(), "oslinux")
 	}

@@ -10,7 +10,7 @@ package core
 // like a controller rather than firing and forgetting.
 //
 // internal/simctl implements it against the simulated kernel;
-// internal/oslinux against a real host via /proc/<tid>/stat and cgroup
+// internal/oslinux against a real host via /proc/<tid>/task/<tid>/stat and cgroup
 // file reads.
 
 // Observer reads actual OS scheduling state back for reconciliation.
@@ -21,7 +21,7 @@ type Observer interface {
 	ObserveNice(tid int) (int, error)
 	// ThreadIdentity returns a stable identity token for the thread
 	// currently occupying tid (on Linux: the start-time field 22 of
-	// /proc/<tid>/stat). A recycled tid yields a different token, so
+	// /proc/<tid>/task/<tid>/stat). A recycled tid yields a different token, so
 	// desired state keyed by (tid, identity) never mistakes the new
 	// occupant for the old entity. 0 means "identity unavailable".
 	ThreadIdentity(tid int) (uint64, error)

@@ -40,7 +40,81 @@ type Point struct {
 // shard is one independently locked slice of the series keyspace.
 type shard struct {
 	mu     sync.RWMutex
-	series map[string][]Point
+	series map[string]*ring
+}
+
+// ring is one series' retained samples, oldest first, in a ring buffer
+// of at most the store's retention. While every sample lands in the bucket
+// right after the previous one, only values are kept (8 B per sample)
+// and the times follow from the newest bucket; the first sample that
+// skips or goes back a bucket switches the series to explicit times for
+// good.
+type ring struct {
+	vals []float64       // ring storage; len is the capacity
+	ats  []time.Duration // explicit times, parallel to vals; nil while implicit
+	head int             // ring index of the oldest sample
+	n    int             // samples held
+	last time.Duration   // bucket of the newest sample
+}
+
+// idx maps the i-th oldest sample to its ring index.
+func (r *ring) idx(i int) int { return (r.head + i) % len(r.vals) }
+
+// at returns the i-th oldest sample.
+func (r *ring) at(i int, res time.Duration) Point {
+	j := r.idx(i)
+	if r.ats != nil {
+		return Point{At: r.ats[j], Value: r.vals[j]}
+	}
+	return Point{At: r.last - time.Duration(r.n-1-i)*res, Value: r.vals[j]}
+}
+
+// push appends a sample in bucket at as the newest, growing the ring up
+// to retention and then overwriting the oldest sample. It reports
+// whether a sample was evicted.
+func (r *ring) push(at time.Duration, v float64, res time.Duration, retention int) bool {
+	if r.ats == nil && r.n > 0 && at != r.last+res {
+		ats := make([]time.Duration, len(r.vals))
+		for i := 0; i < r.n; i++ {
+			ats[r.idx(i)] = r.at(i, res).At
+		}
+		r.ats = ats
+	}
+	evicted := false
+	if r.n == len(r.vals) {
+		if r.n < retention {
+			r.grow(min(max(2*r.n, 1), retention))
+		} else {
+			r.head = r.idx(1)
+			r.n--
+			evicted = true
+		}
+	}
+	j := r.idx(r.n)
+	r.vals[j] = v
+	if r.ats != nil {
+		r.ats[j] = at
+	}
+	r.n++
+	r.last = at
+	return evicted
+}
+
+// grow reallocates the ring with capacity c, oldest sample first.
+func (r *ring) grow(c int) {
+	vals := make([]float64, c)
+	var ats []time.Duration
+	if r.ats != nil {
+		ats = make([]time.Duration, c)
+	}
+	for i := 0; i < r.n; i++ {
+		j := r.idx(i)
+		vals[i] = r.vals[j]
+		if ats != nil {
+			ats[i] = r.ats[j]
+		}
+	}
+	r.vals, r.ats, r.head = vals, ats, 0
 }
 
 // Store is an in-memory time-series database with fixed resolution. All
@@ -77,7 +151,7 @@ func NewShardedStore(resolution time.Duration, shards int) *Store {
 		shards:     make([]shard, shards),
 	}
 	for i := range s.shards {
-		s.shards[i].series = make(map[string][]Point)
+		s.shards[i].series = make(map[string]*ring)
 	}
 	return s
 }
@@ -139,28 +213,30 @@ func (s *Store) Record(now time.Duration, series string, value float64) {
 	sh := s.shardFor(series)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	buf := sh.series[series]
-	if n := len(buf); n > 0 && buf[n-1].At == at {
-		buf[n-1].Value = value
+	r := sh.series[series]
+	if r == nil {
+		r = &ring{}
+		sh.series[series] = r
+	}
+	if r.n > 0 && r.last == at {
+		r.vals[r.idx(r.n-1)] = value
 		return
 	}
-	buf = append(buf, Point{At: at, Value: value})
-	if len(buf) > s.retention {
-		s.evicted.Add(int64(len(buf) - s.retention))
-		buf = buf[len(buf)-s.retention:]
+	if r.push(at, value, s.resolution, s.retention) {
+		s.evicted.Add(1)
 	}
 	if window := time.Duration(s.window.Load()); window > 0 {
 		cutoff := at - window
 		drop := 0
-		for drop < len(buf)-1 && buf[drop].At < cutoff {
+		for drop < r.n-1 && r.at(drop, s.resolution).At < cutoff {
 			drop++
 		}
 		if drop > 0 {
 			s.evicted.Add(int64(drop))
-			buf = buf[drop:]
+			r.head = r.idx(drop)
+			r.n -= drop
 		}
 	}
-	sh.series[series] = buf
 }
 
 // Latest returns the most recent sample of a series.
@@ -168,11 +244,11 @@ func (s *Store) Latest(series string) (Point, bool) {
 	sh := s.shardFor(series)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	buf := sh.series[series]
-	if len(buf) == 0 {
+	r := sh.series[series]
+	if r == nil || r.n == 0 {
 		return Point{}, false
 	}
-	return buf[len(buf)-1], true
+	return r.at(r.n-1, s.resolution), true
 }
 
 // At returns the sample in the bucket containing t, or the nearest earlier
@@ -181,16 +257,16 @@ func (s *Store) At(series string, t time.Duration) (Point, bool) {
 	sh := s.shardFor(series)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	buf := sh.series[series]
-	if len(buf) == 0 {
+	r := sh.series[series]
+	if r == nil || r.n == 0 {
 		return Point{}, false
 	}
 	bucket := t / s.resolution * s.resolution
-	idx := sort.Search(len(buf), func(i int) bool { return buf[i].At > bucket })
+	idx := sort.Search(r.n, func(i int) bool { return r.at(i, s.resolution).At > bucket })
 	if idx == 0 {
 		return Point{}, false
 	}
-	return buf[idx-1], true
+	return r.at(idx-1, s.resolution), true
 }
 
 // Range returns all samples with from <= At <= to, in time order.
@@ -198,9 +274,13 @@ func (s *Store) Range(series string, from, to time.Duration) []Point {
 	sh := s.shardFor(series)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	r := sh.series[series]
+	if r == nil {
+		return nil
+	}
 	var out []Point
-	for _, p := range sh.series[series] {
-		if p.At >= from && p.At <= to {
+	for i := 0; i < r.n; i++ {
+		if p := r.at(i, s.resolution); p.At >= from && p.At <= to {
 			out = append(out, p)
 		}
 	}
@@ -227,5 +307,6 @@ func (s *Store) HasSeries(series string) bool {
 	sh := s.shardFor(series)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.series[series]) > 0
+	r := sh.series[series]
+	return r != nil && r.n > 0
 }

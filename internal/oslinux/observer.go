@@ -57,17 +57,17 @@ func (c *Control) readFile(op, path string) ([]byte, error) {
 	return data, nil
 }
 
-// procStat holds the parsed fields of /proc/<tid>/stat this package
+// procStat holds the parsed fields of a thread's stat file this package
 // needs.
 type procStat struct {
 	nice      int
 	starttime uint64
 }
 
-// parseStat extracts nice (field 19) and starttime (field 22) from
-// /proc/<tid>/stat content. The comm field (2) may contain spaces and
-// parentheses, so parsing anchors at the LAST ')' — everything after it
-// is whitespace-separated fields starting with state (field 3).
+// parseStat extracts nice (field 19) and starttime (field 22) from stat
+// content. The comm field (2) may contain spaces and parentheses, so
+// parsing anchors at the LAST ')' — everything after it is
+// whitespace-separated fields starting with state (field 3).
 func parseStat(data []byte) (procStat, error) {
 	s := string(data)
 	i := strings.LastIndexByte(s, ')')
@@ -94,9 +94,14 @@ func parseStat(data []byte) (procStat, error) {
 	return procStat{nice: nice, starttime: start}, nil
 }
 
-func statPath(tid int) string { return fmt.Sprintf("/proc/%d/stat", tid) }
+// statPath is the thread's own stat file. /proc/<tid>/stat carries the
+// same fields, but the kernel sums CPU times over every thread of the
+// process to fill it, so its cost grows with the process's thread count;
+// the per-thread file under task/ does not.
+func statPath(tid int) string { return fmt.Sprintf("/proc/%d/task/%d/stat", tid, tid) }
 
-// ObserveNice implements core.Observer via /proc/<tid>/stat field 19.
+// ObserveNice implements core.Observer via field 19 of the thread's stat
+// file.
 func (c *Control) ObserveNice(tid int) (int, error) {
 	data, err := c.readFile("observe_nice", statPath(tid))
 	if err != nil {
@@ -110,7 +115,7 @@ func (c *Control) ObserveNice(tid int) (int, error) {
 }
 
 // ThreadIdentity implements core.Observer: the starttime field 22 of
-// /proc/<tid>/stat, in clock ticks since boot. Two different threads can
+// the thread's stat file, in clock ticks since boot. Two different threads can
 // share a tid across time (PID reuse after wraparound) but not a
 // (tid, starttime) pair, so desired state carrying the starttime
 // detects reuse as a vanished entity instead of "drift" on an innocent

@@ -35,7 +35,10 @@ func (f *fakeProcSystem) ReadFile(path string) ([]byte, error) {
 	return []byte(data), nil
 }
 
-// statLine builds a /proc/<tid>/stat line whose comm contains both
+// stat42 is the per-thread stat file the observer reads for tid 42.
+const stat42 = "/proc/42/task/42/stat"
+
+// statLine builds a stat line whose comm contains both
 // spaces and a ") (" sequence — the pathological case the last-')'
 // anchor exists for.
 func statLine(tid, nice int, starttime uint64) string {
@@ -49,7 +52,7 @@ func TestObserverParsesProcStat(t *testing.T) {
 	if !c.Observable() {
 		t.Fatal("ReadSystem-capable System must be observable")
 	}
-	sys.files["/proc/42/stat"] = statLine(42, -7, 12345)
+	sys.files[stat42] = statLine(42, -7, 12345)
 
 	if n, err := c.ObserveNice(42); err != nil || n != -7 {
 		t.Fatalf("ObserveNice = %d, %v", n, err)
@@ -61,13 +64,13 @@ func TestObserverParsesProcStat(t *testing.T) {
 	// A recycled tid carries a different starttime: the same read now
 	// yields a different identity, which is how the reconciler tells a
 	// reused pid from drift on the thread it once managed.
-	sys.files["/proc/42/stat"] = statLine(42, 0, 99999)
+	sys.files[stat42] = statLine(42, 0, 99999)
 	if id, _ := c.ThreadIdentity(42); id != 99999 {
 		t.Fatalf("recycled tid identity = %d, want 99999", id)
 	}
 
 	// A dead thread's /proc entry is gone: ENOENT classifies as vanished.
-	delete(sys.files, "/proc/42/stat")
+	delete(sys.files, stat42)
 	if _, err := c.ObserveNice(42); !core.IsVanished(err) {
 		t.Fatalf("ObserveNice on missing /proc entry: %v", err)
 	}
@@ -84,7 +87,7 @@ func TestObserverRejectsMalformedStat(t *testing.T) {
 		"truncated": "42 (w) S 1 2 3",
 		"bad nice":  "42 (w) S 1 42 42 0 -1 4194304 100 0 0 0 5 3 0 0 20 oops 1 0 7 1000000 200 1",
 	} {
-		sys.files["/proc/42/stat"] = content
+		sys.files[stat42] = content
 		if _, err := c.ObserveNice(42); err == nil {
 			t.Fatalf("%s: malformed stat accepted", name)
 		}
@@ -186,7 +189,7 @@ func TestObserverRequiresReadSystem(t *testing.T) {
 func TestObserveRetriesTransientReads(t *testing.T) {
 	sys := newFakeProcSystem()
 	c := newControl(t, sys, V1)
-	sys.files["/proc/42/stat"] = statLine(42, 3, 7)
+	sys.files[stat42] = statLine(42, 3, 7)
 	sys.failOn["ReadFile"] = []error{syscall.EAGAIN, syscall.EINTR}
 	if n, err := c.ObserveNice(42); err != nil || n != 3 {
 		t.Fatalf("ObserveNice after transient errors = %d, %v", n, err)

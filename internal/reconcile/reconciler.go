@@ -50,6 +50,11 @@ const (
 	MetricLastDrift    = "lachesis_reconcile_last_drift"
 	MetricConverged    = "lachesis_reconcile_converged"
 	MetricPassDuration = "lachesis_reconcile_pass_seconds"
+	// MetricLogRecords and MetricLogSyncs count the desired-state log's
+	// committed records and the fsyncs that made them durable (see
+	// DesiredState.SetTelemetry).
+	MetricLogRecords = "lachesis_reconcile_log_records_total"
+	MetricLogSyncs   = "lachesis_reconcile_log_syncs_total"
 )
 
 // DefaultMaxRepairsPerPass bounds corrective writes per pass: if another

@@ -25,6 +25,7 @@ type RecordingOS struct {
 
 var (
 	_ core.OSInterface       = (*RecordingOS)(nil)
+	_ core.BatchApplier      = (*RecordingOS)(nil)
 	_ core.CgroupRemover     = (*RecordingOS)(nil)
 	_ core.PlacementRestorer = (*RecordingOS)(nil)
 	_ core.CacheInvalidator  = (*RecordingOS)(nil)
@@ -44,13 +45,7 @@ func RecordOS(inner core.OSInterface, state *DesiredState, ident func(tid int) u
 
 // SetNice implements core.OSInterface.
 func (r *RecordingOS) SetNice(tid, nice int) error {
-	err := r.inner.SetNice(tid, nice)
-	if err == nil {
-		r.state.SetNice(tid, r.ident(tid), nice, r.entityOf(tid))
-	} else if core.IsVanished(err) {
-		r.state.ForgetThread(tid)
-	}
-	return err
+	return r.apply(core.ControlOp{Kind: core.OpSetNice, Thread: tid, Value: nice})
 }
 
 // EnsureCgroup implements core.OSInterface. Creation alone records
@@ -62,51 +57,95 @@ func (r *RecordingOS) EnsureCgroup(name string) error {
 
 // SetShares implements core.OSInterface.
 func (r *RecordingOS) SetShares(name string, shares int) error {
-	err := r.inner.SetShares(name, shares)
-	if err == nil {
-		r.state.SetShares(name, shares)
-	} else if core.IsVanished(err) {
-		r.state.ForgetCgroup(name)
-	}
-	return err
+	return r.apply(core.ControlOp{Kind: core.OpSetShares, Cgroup: name, Value: shares})
 }
 
 // MoveThread implements core.OSInterface.
 func (r *RecordingOS) MoveThread(tid int, name string) error {
-	err := r.inner.MoveThread(tid, name)
-	if err == nil {
-		r.state.SetPlacement(tid, r.ident(tid), name, r.entityOf(tid))
-	} else if core.IsVanished(err) {
-		r.state.ForgetThread(tid)
-	}
-	return err
+	return r.apply(core.ControlOp{Kind: core.OpMoveThread, Thread: tid, Cgroup: name})
 }
 
 // RemoveCgroup implements core.CgroupRemover: the group's shares intent
 // and every placement into it are forgotten — the middleware decided the
 // group should not exist, so reconciliation must not resurrect it.
 func (r *RecordingOS) RemoveCgroup(name string) error {
-	var err error
-	if remover, ok := r.inner.(core.CgroupRemover); ok {
-		err = remover.RemoveCgroup(name)
-	}
-	if err == nil || core.IsVanished(err) {
-		r.state.ForgetCgroup(name)
-	}
-	return err
+	return r.apply(core.ControlOp{Kind: core.OpRemoveCgroup, Cgroup: name})
 }
 
 // RestoreThread implements core.PlacementRestorer: the thread returned to
 // its pre-Lachesis cgroup, so the placement intent dissolves.
 func (r *RecordingOS) RestoreThread(tid int) error {
-	var err error
-	if restorer, ok := r.inner.(core.PlacementRestorer); ok {
-		err = restorer.RestoreThread(tid)
+	return r.apply(core.ControlOp{Kind: core.OpRestoreThread, Thread: tid})
+}
+
+// ApplyBatch implements core.BatchApplier: the ops are applied in order
+// (through inner's own ApplyBatch when it has one), each outcome is
+// recorded exactly as the single-op methods record it, and the batch's
+// records are committed together, so a coalescer flush costs at most one
+// fsync. Like every write here, it returns only once its records are
+// durable.
+func (r *RecordingOS) ApplyBatch(ops []core.ControlOp, errs []error) {
+	if ba, ok := r.inner.(core.BatchApplier); ok {
+		ba.ApplyBatch(ops, errs)
+	} else {
+		for i, op := range ops {
+			errs[i] = core.ApplyOp(r.inner, op)
+		}
 	}
-	if err == nil || core.IsVanished(err) {
-		r.state.ForgetPlacement(tid)
+	var seq uint64
+	for i, op := range ops {
+		seq = max(seq, r.record(op, errs[i]))
 	}
+	r.state.commit(seq)
+}
+
+// apply performs one op, records its outcome and waits for the record to
+// be durable.
+func (r *RecordingOS) apply(op core.ControlOp) error {
+	err := core.ApplyOp(r.inner, op)
+	r.state.commit(r.record(op, err))
 	return err
+}
+
+// record stages the desired-state change one op's outcome implies and
+// returns its log sequence number for commit (0 when nothing changed). A
+// successful write records the intent; a write that found its target
+// vanished forgets it; removals and restores dissolve intents even when
+// the target is already gone (or the backend lacks the capability).
+func (r *RecordingOS) record(op core.ControlOp, err error) uint64 {
+	vanished := core.IsVanished(err)
+	switch op.Kind {
+	case core.OpSetNice:
+		if err == nil {
+			return r.state.set(Entry{Kind: KindNice, TID: op.Thread, Start: r.ident(op.Thread), Value: op.Value, Entity: r.entityOf(op.Thread)})
+		}
+		if vanished {
+			return r.state.forgetThread(op.Thread)
+		}
+	case core.OpSetShares:
+		if err == nil {
+			return r.state.set(Entry{Kind: KindShares, Cgroup: op.Cgroup, Value: op.Value})
+		}
+		if vanished {
+			return r.state.forgetCgroup(op.Cgroup)
+		}
+	case core.OpMoveThread:
+		if err == nil {
+			return r.state.set(Entry{Kind: KindPlacement, TID: op.Thread, Start: r.ident(op.Thread), Cgroup: op.Cgroup, Entity: r.entityOf(op.Thread)})
+		}
+		if vanished {
+			return r.state.forgetThread(op.Thread)
+		}
+	case core.OpRemoveCgroup:
+		if err == nil || vanished {
+			return r.state.forgetCgroup(op.Cgroup)
+		}
+	case core.OpRestoreThread:
+		if err == nil || vanished {
+			return r.state.forgetPlacement(op.Thread)
+		}
+	}
+	return 0
 }
 
 // InvalidateThread implements core.CacheInvalidator (pass-through; the

@@ -21,8 +21,10 @@ import (
 //	              per line (the state at the last compaction)
 //	state.log   — one logRecord per line, replayed over the snapshot
 //
-// Every log append is synced before returning, so a crash loses at most
-// the write in flight. Compaction writes state.snap.tmp, syncs, renames
+// Log appends are group-committed (see DesiredState): each append writes
+// every record pending at that moment and fsyncs once, and a mutation
+// returns only after an fsync covering its record has finished, so a
+// crash loses at most the records of the one flush in flight. Compaction writes state.snap.tmp, syncs, renames
 // over state.snap, then truncates the log; a crash between rename and
 // truncate merely replays already-folded ops, which is idempotent.
 // Loading is corruption-tolerant: an invalid or truncated trailing line
@@ -262,7 +264,8 @@ type snapHeader struct {
 // --- store ---
 
 // Store persists a DesiredState through an FS. Not safe for concurrent
-// use on its own — DesiredState serializes access.
+// use on its own — DesiredState serializes access through its commit
+// lock.
 type Store struct {
 	fs     FS
 	warnf  func(format string, args ...any)
@@ -385,8 +388,9 @@ func (s *Store) replayLog(raw []byte, entries map[string]Entry) int64 {
 	return version
 }
 
-// AppendLog durably appends one record to the log.
-func (s *Store) AppendLog(rec logRecord) error {
+// appendLog durably appends a batch of n encoded records (one per line)
+// to the log: one write, one fsync.
+func (s *Store) appendLog(batch []byte, n int) error {
 	if s.log == nil {
 		f, err := s.fs.Append(LogFile)
 		if err != nil {
@@ -394,18 +398,13 @@ func (s *Store) AppendLog(rec logRecord) error {
 		}
 		s.log = f
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if _, err := s.log.Write(b); err != nil {
+	if _, err := s.log.Write(batch); err != nil {
 		return fmt.Errorf("append log: %w", err)
 	}
 	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("sync log: %w", err)
 	}
-	s.logOps++
+	s.logOps += n
 	return nil
 }
 
@@ -557,7 +556,8 @@ func (s *Store) LoadFleetEpoch() (int64, bool, error) {
 }
 
 // Close releases the append handle (the files themselves need no
-// shutdown ritual — every append was already synced).
+// shutdown ritual — every append was synced before its writers
+// returned).
 func (s *Store) Close() error {
 	if s.log == nil {
 		return nil

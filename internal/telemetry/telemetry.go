@@ -386,11 +386,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	sort.Strings(names)
 	type snap struct {
-		name string
-		kind instrumentKind
-		keys []string
-		m    map[string]any
+		name  string
+		kind  instrumentKind
+		keys  []string
+		items []any // items[i] is the instrument under keys[i]
 	}
+	// The instrument pointers are copied under the lock: a family's map
+	// keeps growing while instruments are created concurrently.
 	snaps := make([]snap, 0, len(names))
 	for _, name := range names {
 		fam := r.families[name]
@@ -399,7 +401,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		snaps = append(snaps, snap{name: name, kind: fam.kind, keys: keys, m: fam.items})
+		items := make([]any, len(keys))
+		for i, k := range keys {
+			items[i] = fam.items[k]
+		}
+		snaps = append(snaps, snap{name: name, kind: fam.kind, keys: keys, items: items})
 	}
 	r.mu.RUnlock()
 
@@ -407,8 +413,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %v\n", s.name, s.kind); err != nil {
 			return err
 		}
-		for _, key := range s.keys {
-			switch item := s.m[key].(type) {
+		for i, key := range s.keys {
+			switch item := s.items[i].(type) {
 			case *Counter:
 				if _, err := fmt.Fprintf(w, "%s%s %d\n", s.name, key, item.Value()); err != nil {
 					return err
