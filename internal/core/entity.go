@@ -49,7 +49,11 @@ type Driver interface {
 	Entities() []Entity
 	// Provides reports whether the driver can fetch the metric directly.
 	Provides(metric string) bool
-	// Fetch returns the latest values of a directly-provided metric.
+	// Fetch returns the latest values of a directly-provided metric. The
+	// provider keeps the returned map as the previous period's values and
+	// the middleware as its last-good fallback, so a driver that refills
+	// one map on every call suits only setups with neither derived
+	// metrics nor a fetch timeout.
 	Fetch(metric string, now time.Duration) (EntityValues, error)
 }
 

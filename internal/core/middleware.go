@@ -319,9 +319,13 @@ type driverState struct {
 	lastSuccess time.Duration
 	haveSuccess bool
 	lastErr     error
-	lastGood    map[string]EntityValues
-	lastGoodAt  time.Duration
-	stale       bool // currently serving lastGood in place of a failed fetch
+	// lastGood is owned by the driver state: the provider recycles the
+	// map UpdateOne returns two updates later, and an update abandoned
+	// by the fetch timeout still completes, so holding the provider's map
+	// itself would let a later fetch clear it while buildView reads it.
+	lastGood   map[string]EntityValues
+	lastGoodAt time.Duration
+	stale      bool // currently serving lastGood in place of a failed fetch
 
 	// Cached instruments (see instrument.go).
 	hFetch      *telemetry.Histogram

@@ -102,7 +102,6 @@ func sameInstance(a, b any) (eq bool) {
 	return a == b
 }
 
-
 // fetchOut is one driver's raw fetch result before bookkeeping.
 type fetchOut struct {
 	vals map[string]EntityValues
@@ -193,9 +192,9 @@ func (m *Middleware) fetchPhase(now time.Duration, runnable []*boundPolicy, stat
 			ds.stale = false
 			ds.lastSuccess = now
 			ds.haveSuccess = true
-			ds.lastGood = r.vals
+			ds.keepLastGood(r.vals)
 			ds.lastGoodAt = now
-			values[name] = r.vals
+			values[name] = ds.lastGood
 			stats.Drivers = append(stats.Drivers, dst)
 			continue
 		}
@@ -225,6 +224,17 @@ func (m *Middleware) fetchPhase(now time.Duration, runnable []*boundPolicy, stat
 		stats.Drivers = append(stats.Drivers, dst)
 	}
 	return values, unavailable
+}
+
+// keepLastGood copies a successful fetch's per-metric values into
+// ds.lastGood, reusing its map. The per-entity maps are shared; the
+// provider never writes them (see Driver.Fetch for the driver's side).
+func (ds *driverState) keepLastGood(vals map[string]EntityValues) {
+	if ds.lastGood == nil {
+		ds.lastGood = make(map[string]EntityValues, len(vals))
+	}
+	clear(ds.lastGood)
+	maps.Copy(ds.lastGood, vals)
 }
 
 // fetchJob is the fetch phase's pool job: update driver i of the cycle's

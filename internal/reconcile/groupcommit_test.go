@@ -165,9 +165,11 @@ func TestGroupCommitReturnedWritesSurviveCrash(t *testing.T) {
 			shares[group] = v
 			placed[tid] = group
 		}
-		// Crash once a good share of the run has returned, with every
-		// writer still going.
-		if returned.Add(1) == 1200 {
+		// Crash once a good share of the run has returned and every
+		// writer has returned a batch, with every writer still going. A
+		// fixed count alone let an unlucky interleaving crash before the
+		// slowest writer's first batch.
+		if returned.Add(1) >= 1200 && len(shares) == 8 {
 			cfs.crash()
 			crashed = true
 		}

@@ -2,6 +2,7 @@ package simos
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -69,7 +70,7 @@ func (k *Kernel) chargeQuota(g *cgroup, used time.Duration) {
 			g.throttled = true
 			g.throttleEvents++
 			refill := (period + 1) * g.quotaPeriod
-			k.schedule(&event{at: refill, kind: eventRefill, group: g})
+			k.schedule(event{at: refill, kind: eventRefill, group: g})
 		}
 	}
 }
@@ -148,6 +149,9 @@ func (k *Kernel) SetRealtime(id ThreadID, prio int) error {
 	if prio > RTPrioMax {
 		prio = RTPrioMax
 	}
+	if t.rtPrio == 0 {
+		k.addRT(t)
+	}
 	t.rtPrio = prio
 	return nil
 }
@@ -158,6 +162,7 @@ func (k *Kernel) SetNormal(id ThreadID) error {
 	if !ok {
 		return &NotFoundError{Kind: "thread", ID: int(id)}
 	}
+	k.removeRT(t)
 	t.rtPrio = 0
 	return nil
 }
@@ -174,12 +179,12 @@ func (k *Kernel) IsRealtime(id ThreadID) (bool, int, error) {
 
 // pickRT returns the runnable real-time thread with the highest priority
 // (FIFO within a priority: lowest id as a deterministic stand-in for
-// arrival order).
+// arrival order). k.rt is kept in id order, so the first thread seen at
+// the best priority wins.
 func (k *Kernel) pickRT() *thread {
 	var best *thread
-	for id := ThreadID(1); id < k.nextTID; id++ {
-		t := k.threads[id]
-		if t == nil || t.rtPrio == 0 || t.state != stateRunnable {
+	for _, t := range k.rt {
+		if t.state != stateRunnable {
 			continue
 		}
 		if best == nil || t.rtPrio > best.rtPrio {
@@ -187,6 +192,23 @@ func (k *Kernel) pickRT() *thread {
 		}
 	}
 	return best
+}
+
+// addRT inserts a thread entering the real-time class into k.rt, keeping
+// id order.
+func (k *Kernel) addRT(t *thread) {
+	i := len(k.rt)
+	for i > 0 && k.rt[i-1].id > t.id {
+		i--
+	}
+	k.rt = slices.Insert(k.rt, i, t)
+}
+
+// removeRT drops a thread from k.rt; it is a no-op for fair-class threads.
+func (k *Kernel) removeRT(t *thread) {
+	if i := slices.Index(k.rt, t); i >= 0 {
+		k.rt = slices.Delete(k.rt, i, i+1)
+	}
 }
 
 // --- pressure stall information (PSI) ---

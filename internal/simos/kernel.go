@@ -1,7 +1,6 @@
 package simos
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -124,24 +123,55 @@ type event struct {
 	group *cgroup // eventRefill
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq). seq is unique, so the order is total
+// and the pop sequence does not depend on the heap's internal layout.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events stored by value, so scheduling
+// an event allocates nothing once the backing array has grown.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = event{} // drop thread/cgroup references
+	q = q[:n]
+	for i := 0; ; {
+		min := i
+		if l := 2*i + 1; l < n && q[l].before(&q[min]) {
+			min = l
+		}
+		if r := 2*i + 2; r < n && q[r].before(&q[min]) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		q[i], q[min] = q[min], q[i]
+		i = min
+	}
+	*h = q
+	return top
 }
 
 // cpu is one simulated processor.
@@ -149,10 +179,13 @@ type cpu struct {
 	index    int
 	capacity float64
 	idle     bool
-	current  *thread   // thread whose slice is in flight
-	last     *thread   // thread that ran most recently (switch-cost check)
-	pending  *Decision // decision to apply when the slice ends
-	wakes    []*WaitQueue
+	current  *thread  // thread whose slice is in flight
+	last     *thread  // thread that ran most recently (switch-cost check)
+	pending  Decision // decision to apply when current's slice ends
+	// ctx is handed to every Runner dispatched on this CPU. Its wakes
+	// collect during the slice and are applied and truncated when the
+	// slice ends, so steady-state dispatch allocates nothing.
+	ctx      RunContext
 	busyTime time.Duration // cumulative busy virtual wall time
 	switches int64
 }
@@ -171,6 +204,9 @@ type Kernel struct {
 	root     *cgroup
 	nextTID  ThreadID
 	nextCGID CgroupID
+	// rt lists the live real-time threads in id order; pickRT scans only
+	// these, and returns at once when there are none.
+	rt []*thread
 
 	contractViolations int64
 }
@@ -300,8 +336,14 @@ func (k *Kernel) KillThread(id ThreadID) error {
 	case stateWaiting, stateSleeping:
 		// Wait queues and timers skip non-waiting/non-sleeping threads.
 	}
-	t.state = stateExited
+	k.exit(t)
 	return nil
+}
+
+// exit marks a thread exited and takes it out of the real-time class list.
+func (k *Kernel) exit(t *thread) {
+	t.state = stateExited
+	k.removeRT(t)
 }
 
 // CreateCgroup creates a child cgroup under parent with default shares.
@@ -405,7 +447,6 @@ func (k *Kernel) wakeAll(wq *WaitQueue) {
 		return
 	}
 	ws := wq.waiters
-	wq.waiters = nil
 	for _, t := range ws {
 		if t.state != stateWaiting {
 			continue
@@ -413,6 +454,9 @@ func (k *Kernel) wakeAll(wq *WaitQueue) {
 		t.wakeups++
 		k.makeRunnable(t)
 	}
+	// Reuse the backing array: nothing appends to a queue while it wakes.
+	clear(ws)
+	wq.waiters = ws[:0]
 }
 
 // makeRunnable transitions a blocked (or new) thread to runnable with
@@ -551,10 +595,10 @@ func updateMinVR(g *cgroup) {
 }
 
 // schedule pushes an event onto the heap.
-func (k *Kernel) schedule(e *event) {
+func (k *Kernel) schedule(e event) {
 	e.seq = k.seq
 	k.seq++
-	heap.Push(&k.events, e)
+	k.events.push(e)
 }
 
 // kickIdleCPUs schedules an immediate dispatch on every idle CPU.
@@ -562,7 +606,7 @@ func (k *Kernel) kickIdleCPUs() {
 	for _, c := range k.cpus {
 		if c.idle {
 			c.idle = false
-			k.schedule(&event{at: k.now, kind: eventCPUFree, cpu: c.index})
+			k.schedule(event{at: k.now, kind: eventCPUFree, cpu: c.index})
 		}
 	}
 }
@@ -581,7 +625,7 @@ func (k *Kernel) SleepThread(id ThreadID, wakeAt time.Duration) error {
 	t.state = stateSleeping
 	k.addRunnable(t.group, -1)
 	k.addPickable(t.group, -1)
-	k.schedule(&event{at: wakeAt, kind: eventTimer, th: t})
+	k.schedule(event{at: wakeAt, kind: eventTimer, th: t})
 	return nil
 }
 
@@ -591,7 +635,7 @@ func (k *Kernel) Step() bool {
 	if len(k.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.events).(*event)
+	e := k.events.pop()
 	if e.at > k.now {
 		k.now = e.at
 	}
@@ -633,12 +677,12 @@ func (k *Kernel) finishSlice(c *cpu) {
 		return
 	}
 	d := c.pending
-	c.current, c.pending = nil, nil
+	c.current, c.pending = nil, Decision{}
 	// Wakes requested during the slice take effect now.
-	for _, wq := range c.wakes {
+	for _, wq := range c.ctx.wakes {
 		k.wakeAll(wq)
 	}
-	c.wakes = nil
+	c.ctx.wakes = c.ctx.wakes[:0]
 
 	if t.state == stateExited {
 		// Killed mid-slice: the work was done but the thread is gone, so
@@ -659,7 +703,7 @@ func (k *Kernel) finishSlice(c *cpu) {
 		}
 		t.state = stateSleeping
 		k.addRunnable(t.group, -1)
-		k.schedule(&event{at: d.WakeAt, kind: eventTimer, th: t})
+		k.schedule(event{at: d.WakeAt, kind: eventTimer, th: t})
 	case ActionWait:
 		if d.WaitOn == nil {
 			k.contractViolations++
@@ -677,7 +721,7 @@ func (k *Kernel) finishSlice(c *cpu) {
 		k.addRunnable(t.group, -1)
 		d.WaitOn.waiters = append(d.WaitOn.waiters, t)
 	case ActionExit:
-		t.state = stateExited
+		k.exit(t)
 		k.addRunnable(t.group, -1)
 	default:
 		k.contractViolations++
@@ -710,9 +754,9 @@ func (k *Kernel) dispatch(c *cpu) {
 	}
 	c.last = t
 
-	ctx := &RunContext{kernel: k, now: k.now}
+	c.ctx.now = k.now
 	granted := k.cfg.Quantum - overhead
-	d := t.runner.Run(ctx, granted)
+	d := t.runner.Run(&c.ctx, granted)
 	if d.Used < 0 {
 		k.contractViolations++
 		d.Used = 0
@@ -729,9 +773,8 @@ func (k *Kernel) dispatch(c *cpu) {
 	k.charge(t, d.Used+overhead)
 
 	c.current = t
-	c.pending = &d
-	c.wakes = ctx.wakes
+	c.pending = d
 	wall := time.Duration(float64(d.Used+overhead) / c.capacity)
 	c.busyTime += wall
-	k.schedule(&event{at: k.now + wall, kind: eventCPUFree, cpu: c.index})
+	k.schedule(event{at: k.now + wall, kind: eventCPUFree, cpu: c.index})
 }

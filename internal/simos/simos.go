@@ -131,10 +131,14 @@ func (f RunnerFunc) Run(ctx *RunContext, granted time.Duration) Decision {
 // RunContext is passed to Runner.Run. It exposes the virtual time and lets
 // the runner request wake-ups of threads blocked on wait queues. Wakes take
 // effect when the timeslice ends.
+//
+// Each simulated CPU owns one RunContext and reuses it for every slice it
+// dispatches, so a Runner must not keep the pointer (or anything that
+// captures it) after Run returns: by the next slice on that CPU it holds
+// another thread's time and wakes.
 type RunContext struct {
-	kernel *Kernel
-	now    time.Duration
-	wakes  []*WaitQueue
+	now   time.Duration
+	wakes []*WaitQueue
 }
 
 // Now returns the virtual time at the start of the timeslice.

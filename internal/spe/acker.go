@@ -77,6 +77,7 @@ func (e *Engine) attachAcker(d *Deployment) error {
 	}
 	p.stats.proc = newLatencyRec(1)
 	p.stats.e2e = newLatencyRec(2)
+	p.bindCallbacks()
 	tid, err := e.kernel.Spawn(p.name, e.cgroup, p.osRunner())
 	if err != nil {
 		return err

@@ -66,6 +66,17 @@ type PhysicalOp struct {
 	pendingOut []pendingEmit
 	// emitScratch reuses the per-tuple chain output buffers.
 	emitScratch [][]Tuple
+	// emitIn and emitNext are the input tuple and output level that emit
+	// works on while a ProcessFunc runs.
+	emitIn   Tuple
+	emitNext []Tuple
+
+	// Callbacks bound once by bindCallbacks: emit is passed to every
+	// ProcessFunc; ready and notFull are the WaitUnless checks of a
+	// thread waiting for input and of an upstream waiting for space.
+	emit    EmitFunc
+	ready   func(time.Duration) bool
+	notFull func(time.Duration) bool
 
 	thread simos.ThreadID
 	// pooled marks operators executed by the worker pool rather than a
@@ -376,6 +387,7 @@ func (e *Engine) buildPhysical(d *Deployment, src Source) error {
 			}
 			p.waitQ = e.kernel.NewWaitQueue(p.name + ".data")
 			p.spaceQ = e.kernel.NewWaitQueue(p.name + ".space")
+			p.bindCallbacks()
 			d.ops = append(d.ops, p)
 			headToPhys[chain[0].Name] = append(headToPhys[chain[0].Name], p)
 			for _, l := range chain {

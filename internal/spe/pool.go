@@ -38,6 +38,8 @@ type workerPool struct {
 	// pickOverhead is charged when a worker wakes up and finds nothing to
 	// do, modeling the UL-SS dispatch cost.
 	pickOverhead time.Duration
+	// anyReadyFn is anyReady bound once: an idle worker's WaitUnless.
+	anyReadyFn func(time.Duration) bool
 }
 
 func newWorkerPool(e *Engine, sched TaskScheduler, workers int, batch time.Duration) *workerPool {
@@ -52,6 +54,7 @@ func newWorkerPool(e *Engine, sched TaskScheduler, workers int, batch time.Durat
 		busyUntil:    make(map[*PhysicalOp]time.Duration),
 		pickOverhead: 2 * time.Microsecond,
 	}
+	wp.anyReadyFn = wp.anyReady
 	return wp
 }
 
@@ -68,20 +71,24 @@ func (wp *workerPool) spawnWorkers(n int) error {
 // anyReady reports whether some pooled operator has runnable work that no
 // worker currently holds.
 func (wp *workerPool) anyReady(now time.Duration) bool {
-	for _, op := range wp.engine.Ops() {
-		if op.pooled && now >= wp.busyUntil[op] && op.Ready(now) {
-			return true
-		}
-	}
-	return false
+	return wp.anyPooledReady(now, false)
 }
 
 // anyHeldReady reports whether some pooled operator has work but is
 // occupied by another worker's in-flight slice.
 func (wp *workerPool) anyHeldReady(now time.Duration) bool {
-	for _, op := range wp.engine.Ops() {
-		if op.pooled && now < wp.busyUntil[op] && op.Ready(now) {
-			return true
+	return wp.anyPooledReady(now, true)
+}
+
+// anyPooledReady reports whether some pooled operator is Ready at now and
+// held (or not held) by a worker. It walks the live deployments in place
+// of Engine.Ops, which copies; stopped operators are never Ready.
+func (wp *workerPool) anyPooledReady(now time.Duration, held bool) bool {
+	for _, d := range wp.engine.deployments {
+		for _, op := range d.ops {
+			if op.pooled && (now < wp.busyUntil[op]) == held && op.Ready(now) {
+				return true
+			}
 		}
 	}
 	return false
@@ -89,15 +96,19 @@ func (wp *workerPool) anyHeldReady(now time.Duration) bool {
 
 func (wp *workerPool) workerRunner(worker int) simos.Runner {
 	var lastOp *PhysicalOp
+	// now is the current slice's start; canRun, the filter handed to the
+	// scheduler, is built once and reads it.
+	var now time.Duration
+	canRun := func(p *PhysicalOp) bool {
+		return now >= wp.busyUntil[p] && p.Ready(now)
+	}
 	return simos.RunnerFunc(func(ctx *simos.RunContext, granted time.Duration) simos.Decision {
 		budget := granted
 		if wp.batch < budget {
 			budget = wp.batch
 		}
-		now := ctx.Now()
-		op := wp.sched.Next(now, func(p *PhysicalOp) bool {
-			return now >= wp.busyUntil[p] && p.Ready(now)
-		})
+		now = ctx.Now()
+		op := wp.sched.Next(now, canRun)
 		if op == nil {
 			// Nothing runnable. Ingress operators run on their own threads
 			// and wake the pool when they push, so workers just wait. If a
@@ -109,7 +120,7 @@ func (wp *workerPool) workerRunner(worker int) simos.Runner {
 			return simos.Decision{
 				Action:     simos.ActionWait,
 				WaitOn:     wp.waitQ,
-				WaitUnless: wp.anyReady,
+				WaitUnless: wp.anyReadyFn,
 			}
 		}
 
@@ -126,17 +137,7 @@ func (wp *workerPool) workerRunner(worker int) simos.Runner {
 			lastOp = op
 		}
 
-		oc := opContext{
-			now: now,
-			// In pool mode, readiness transitions wake idle workers.
-			wakeData: func(*PhysicalOp) { ctx.Wake(wp.waitQ) },
-			wakeSpace: func(t *PhysicalOp) {
-				// Space frees both pooled consumers and threaded upstreams
-				// (e.g. an ingress blocked on a full bolt queue).
-				ctx.Wake(wp.waitQ)
-				ctx.Wake(t.spaceQ)
-			},
-		}
+		oc := opContext{now: now, sim: ctx, pool: wp}
 		res := op.runFor(&oc, budget-overhead)
 		res.used += overhead
 		wp.sched.TaskDone(op, res.used)

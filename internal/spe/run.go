@@ -34,11 +34,38 @@ type runResult struct {
 }
 
 // opContext abstracts the execution environment (dedicated thread vs
-// worker pool) from the operator logic.
+// worker pool) from the operator logic. It lives for one Run call, on the
+// runner's stack.
 type opContext struct {
-	now       time.Duration
-	wakeData  func(*PhysicalOp) // data became available for the operator
-	wakeSpace func(*PhysicalOp) // space became available in the operator's queue
+	now time.Duration
+	sim *simos.RunContext
+	// pool is the worker pool running the operator, or nil when it runs
+	// on a dedicated thread.
+	pool *workerPool
+}
+
+// wakeData signals that data became available for t.
+func (c *opContext) wakeData(t *PhysicalOp) {
+	switch {
+	case c.pool != nil:
+		// In pool mode, readiness transitions wake idle workers.
+		c.sim.Wake(c.pool.waitQ)
+	case t.pooled:
+		// Pool-managed consumers are dispatched by workers.
+		c.sim.Wake(t.engine.pool.waitQ)
+	default:
+		c.sim.Wake(t.waitQ)
+	}
+}
+
+// wakeSpace signals that space became available in t's input queue.
+func (c *opContext) wakeSpace(t *PhysicalOp) {
+	if c.pool != nil {
+		// Space frees both pooled consumers and threaded upstreams (e.g.
+		// an ingress blocked on a full bolt queue).
+		c.sim.Wake(c.pool.waitQ)
+	}
+	c.sim.Wake(t.spaceQ)
 }
 
 // runFor advances the operator by up to budget CPU time. It is the single
@@ -157,18 +184,13 @@ func (p *PhysicalOp) finishTuple(completeAt time.Duration) (blockFor time.Durati
 		}
 		next := p.emitScratch[i+1][:0]
 		if fn := p.process[i]; fn != nil {
+			p.emitNext = next
 			for _, t := range cur {
-				in := t
-				fn(in, func(o Tuple) {
-					if o.EventTime == 0 {
-						o.EventTime = in.EventTime
-					}
-					if o.IngressTime == 0 {
-						o.IngressTime = in.IngressTime
-					}
-					next = append(next, o)
-				})
+				p.emitIn = t
+				fn(t, p.emit)
 			}
+			next = p.emitNext
+			p.emitIn = Tuple{} // release the payload
 		} else {
 			for _, t := range cur {
 				p.credit[i] += l.Selectivity
@@ -201,6 +223,27 @@ func (p *PhysicalOp) finishTuple(completeAt time.Duration) (blockFor time.Durati
 	return blockFor
 }
 
+// emitOne is the EmitFunc handed to ProcessFuncs (as p.emit, bound once):
+// it stamps an output with the times of the input being processed
+// (p.emitIn) and appends it to the chain level being built (p.emitNext).
+func (p *PhysicalOp) emitOne(o Tuple) {
+	if o.EventTime == 0 {
+		o.EventTime = p.emitIn.EventTime
+	}
+	if o.IngressTime == 0 {
+		o.IngressTime = p.emitIn.IngressTime
+	}
+	p.emitNext = append(p.emitNext, o)
+}
+
+// bindCallbacks builds, once per operator, the method values the run loop
+// hands out, so no tuple or timeslice allocates a closure.
+func (p *PhysicalOp) bindCallbacks() {
+	p.emit = p.emitOne
+	p.ready = p.Ready
+	p.notFull = func(time.Duration) bool { return !p.in.full() }
+}
+
 // osRunner wraps the operator as a dedicated kernel thread: the default
 // thread-per-operator execution of Storm, Flink, and Liebre.
 func (p *PhysicalOp) osRunner() simos.Runner {
@@ -208,18 +251,7 @@ func (p *PhysicalOp) osRunner() simos.Runner {
 		if p.stopped {
 			return simos.Decision{Action: simos.ActionExit}
 		}
-		oc := opContext{
-			now: ctx.Now(),
-			wakeData: func(t *PhysicalOp) {
-				if t.pooled {
-					// Pool-managed consumers are dispatched by workers.
-					ctx.Wake(t.engine.pool.waitQ)
-					return
-				}
-				ctx.Wake(t.waitQ)
-			},
-			wakeSpace: func(t *PhysicalOp) { ctx.Wake(t.spaceQ) },
-		}
+		oc := opContext{now: ctx.Now(), sim: ctx}
 		res := p.runFor(&oc, granted)
 		switch res.status {
 		case statusIdle:
@@ -238,15 +270,14 @@ func (p *PhysicalOp) osRunner() simos.Runner {
 				Used:       res.used,
 				Action:     simos.ActionWait,
 				WaitOn:     p.waitQ,
-				WaitUnless: func(now time.Duration) bool { return p.Ready(now) },
+				WaitUnless: p.ready,
 			}
 		case statusBackpressured:
-			tgt := res.target
 			return simos.Decision{
 				Used:       res.used,
 				Action:     simos.ActionWait,
-				WaitOn:     tgt.spaceQ,
-				WaitUnless: func(time.Duration) bool { return !tgt.in.full() },
+				WaitOn:     res.target.spaceQ,
+				WaitUnless: res.target.notFull,
 			}
 		case statusBlocked:
 			return simos.Decision{Used: res.used, Action: simos.ActionSleep, WakeAt: res.until}
