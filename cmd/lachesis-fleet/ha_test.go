@@ -13,8 +13,8 @@ import (
 )
 
 // haDaemon builds a coordinator with an HA identity and lease TTL.
-func haDaemon(id string, standby bool, ttl time.Duration, conns fleet.ConnFactory) *fleetDaemon {
-	return newFleetDaemon(fleetOptions{
+func haDaemon(t *testing.T, id string, standby bool, ttl time.Duration, conns fleet.ConnFactory, state reconcile.FS) *fleetDaemon {
+	return mustDaemon(t, fleetOptions{
 		registry: fleet.RegistryConfig{HeartbeatInterval: time.Second},
 		rollout: fleet.RolloutConfig{
 			CanaryFraction: 0.34, Waves: 2, WindowTicks: 1, PushTicks: 1,
@@ -24,17 +24,17 @@ func haDaemon(id string, standby bool, ttl time.Duration, conns fleet.ConnFactor
 		id:       id,
 		leaseTTL: ttl,
 		standby:  standby,
-	})
+	}, state)
 }
 
 // link joins two coordinators over real HTTP in both directions.
 func link(a, b *fleetDaemon, srvA, srvB *httptest.Server) {
-	a.repl.AddPeer("b", fleet.NewHTTPPeer("b", srvB.URL, time.Second))
-	b.repl.AddPeer("a", fleet.NewHTTPPeer("a", srvA.URL, time.Second))
+	a.rep.AddPeer("b", fleet.NewHTTPPeer("b", srvB.URL, time.Second))
+	b.rep.AddPeer("a", fleet.NewHTTPPeer("a", srvA.URL, time.Second))
 }
 
 func TestStandbyServesReadsAndRejectsWrites(t *testing.T) {
-	b := haDaemon("b", true, time.Minute, func(fleet.AgentRecord) fleet.AgentClient { return &memAgent{} })
+	b := haDaemon(t, "b", true, time.Minute, func(fleet.AgentRecord) fleet.AgentClient { return &memAgent{} }, nil)
 	srv := httptest.NewServer(b.handler())
 	defer srv.Close()
 
@@ -62,7 +62,7 @@ func TestStandbyServesReadsAndRejectsWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lv leaseView
+	var lv fleet.LeaseView
 	_ = json.NewDecoder(resp.Body).Decode(&lv)
 	resp.Body.Close()
 	if lv.Leading || lv.ID != "b" {
@@ -82,36 +82,36 @@ func TestStandbyServesReadsAndRejectsWrites(t *testing.T) {
 
 func TestStandbyPromotesOnLeaderSilenceAndFencesOldLeader(t *testing.T) {
 	conns := func(fleet.AgentRecord) fleet.AgentClient { return &memAgent{} }
-	a := haDaemon("a", false, 150*time.Millisecond, conns)
-	b := haDaemon("b", true, 150*time.Millisecond, conns)
+	a := haDaemon(t, "a", false, 150*time.Millisecond, conns, nil)
+	b := haDaemon(t, "b", true, 150*time.Millisecond, conns, nil)
 	srvA, srvB := httptest.NewServer(a.handler()), httptest.NewServer(b.handler())
 	defer srvA.Close()
 	defer srvB.Close()
 	link(a, b, srvA, srvB)
 
-	if _, err := a.reg.Register(a.now(), "n1", "n1:1"); err != nil {
+	if _, err := a.rep.Registry().Register(a.now(), "n1", "n1:1"); err != nil {
 		t.Fatal(err)
 	}
 	a.tick() // renew + replicate: the standby now has a checkpoint
-	if b.fol.Applied() == 0 {
+	if b.rep.Follower().Applied() == 0 {
 		t.Fatal("standby applied no checkpoint after a leader tick")
 	}
 
 	// The leader goes silent (crash): after the TTL the standby's own
 	// clock declares the lease dead and it promotes with a bumped epoch.
 	deadline := time.Now().Add(5 * time.Second)
-	for !b.lm.Leading() && time.Now().Before(deadline) {
+	for !b.rep.Leading() && time.Now().Before(deadline) {
 		b.tick()
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !b.lm.Leading() {
+	if !b.rep.Leading() {
 		t.Fatal("standby never promoted after leader silence")
 	}
-	if epoch := b.lm.Info().Epoch; epoch != 2 {
+	if epoch := b.rep.Lease().Epoch; epoch != 2 {
 		t.Fatalf("promoted epoch = %d, want 2", epoch)
 	}
 	// The promotion adopted the replicated registry.
-	if got := len(b.reg.Agents()); got != 1 {
+	if got := len(b.rep.Registry().Agents()); got != 1 {
 		t.Fatalf("promoted registry has %d agents, want 1 (adopted from checkpoint)", got)
 	}
 
@@ -119,15 +119,15 @@ func TestStandbyPromotesOnLeaderSilenceAndFencesOldLeader(t *testing.T) {
 	// stream is fenced by the new leader (403), and the new leader's
 	// checkpoint deposes it through its own /replicate handler.
 	a.tick()
-	if !a.lm.Leading() {
+	if !a.rep.Leading() {
 		t.Fatal("old leader should still believe it leads before hearing from b")
 	}
 	b.tick() // b replicates epoch 2 to a -> a observes and steps down
-	if a.lm.Leading() {
+	if a.rep.Leading() {
 		t.Fatal("old leader must step down after observing the newer epoch")
 	}
-	if a.lm.Info().Epoch != 2 {
-		t.Fatalf("old leader's lease view epoch = %d, want 2", a.lm.Info().Epoch)
+	if a.rep.Lease().Epoch != 2 {
+		t.Fatalf("old leader's lease view epoch = %d, want 2", a.rep.Lease().Epoch)
 	}
 
 	// Exactly one leader; a healed write through the new leader works.
@@ -147,23 +147,20 @@ func TestShutdownReleasesLeaseAndTakesFinalCheckpoint(t *testing.T) {
 	conns := func(fleet.AgentRecord) fleet.AgentClient { return &memAgent{} }
 	// A huge TTL proves the standby promotes on the RELEASE, not by
 	// waiting out the lease.
-	a := haDaemon("a", false, time.Hour, conns)
-	b := haDaemon("b", true, time.Hour, conns)
-	if err := a.attachState(fleet.NewStore(mfs, nil), reconcile.NewStore(mfs, nil)); err != nil {
-		t.Fatal(err)
-	}
+	a := haDaemon(t, "a", false, time.Hour, conns, mfs)
+	b := haDaemon(t, "b", true, time.Hour, conns, nil)
 	srvA, srvB := httptest.NewServer(a.handler()), httptest.NewServer(b.handler())
 	defer srvA.Close()
 	defer srvB.Close()
 	link(a, b, srvA, srvB)
 
-	if _, err := a.reg.Register(a.now(), "n1", "n1:1"); err != nil {
+	if _, err := a.rep.Registry().Register(a.now(), "n1", "n1:1"); err != nil {
 		t.Fatal(err)
 	}
 	a.tick()
 
 	a.shutdown() // SIGTERM path: release the lease, publish, persist
-	if a.lm.Leading() {
+	if a.rep.Leading() {
 		t.Fatal("shutdown must drop leadership")
 	}
 	// The final state checkpoint is on disk.
@@ -178,11 +175,11 @@ func TestShutdownReleasesLeaseAndTakesFinalCheckpoint(t *testing.T) {
 	// The published release lets the standby promote on its next tick —
 	// no TTL wait.
 	b.tick()
-	if !b.lm.Leading() {
+	if !b.rep.Leading() {
 		t.Fatal("standby must promote immediately on a released lease")
 	}
 	released, _, _ := st.LoadLease()
-	if epoch := b.lm.Info().Epoch; epoch != released.Epoch+1 {
+	if epoch := b.rep.Lease().Epoch; epoch != released.Epoch+1 {
 		t.Fatalf("promoted epoch = %d, want %d (released epoch + 1)", epoch, released.Epoch+1)
 	}
 }

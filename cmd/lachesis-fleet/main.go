@@ -152,24 +152,26 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal) error {
 	if spanSink != nil {
 		opts.spanSink = spanSink
 	}
-	d := newFleetDaemon(opts)
-
-	// Warm restart: registry, rollout state, and the fleet-level
-	// last-good policy all come back from the state directory.
+	// Warm restart: registry, rollout state (with the fleet last-good)
+	// and the lease all come back from the state directory.
+	var state reconcile.FS
 	if *statePath != "" {
 		sfs, err := reconcile.NewOSFS(*statePath)
 		if err != nil {
 			return fmt.Errorf("state dir: %w", err)
 		}
-		warnf := func(format string, args ...any) {
-			fmt.Fprintf(stderr, "lachesis-fleet: state: "+format+"\n", args...)
-		}
-		if err := d.attachState(fleet.NewStore(sfs, warnf), reconcile.NewStore(sfs, warnf)); err != nil {
-			return err
-		}
-		st := d.co.Status()
+		state = sfs
+	}
+	warnf := func(format string, args ...any) {
+		fmt.Fprintf(stderr, "lachesis-fleet: state: "+format+"\n", args...)
+	}
+	d, err := newFleetDaemon(opts, state, warnf)
+	if err != nil {
+		return err
+	}
+	if state != nil {
 		fmt.Fprintf(stderr, "lachesis-fleet: state loaded from %s: %d agents, rollout %s\n",
-			*statePath, len(d.reg.Agents()), st.Phase)
+			*statePath, len(d.rep.Registry().Agents()), d.rep.Coordinator().Status().Phase)
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -110,22 +110,32 @@ func (a *policyAgent) lastProposal() string {
 	return a.proposals[len(a.proposals)-1]
 }
 
-func quickDaemon(conns fleet.ConnFactory) *fleetDaemon {
-	return newFleetDaemon(fleetOptions{
+// mustDaemon builds a daemon over state (nil: in-memory).
+func mustDaemon(t *testing.T, opts fleetOptions, state reconcile.FS) *fleetDaemon {
+	t.Helper()
+	d, err := newFleetDaemon(opts, state, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func quickDaemon(t *testing.T, conns fleet.ConnFactory, state reconcile.FS) *fleetDaemon {
+	return mustDaemon(t, fleetOptions{
 		registry: fleet.RegistryConfig{HeartbeatInterval: time.Second},
 		rollout: fleet.RolloutConfig{
 			CanaryFraction: 0.34, Waves: 2, WindowTicks: 1, PushTicks: 1,
 			Fanout: fleet.FanoutConfig{Attempts: 1, Sleep: func(time.Duration) {}},
 		},
 		conns: conns,
-	})
+	}, state)
 }
 
 func TestCoordinatorEndToEndOverHTTP(t *testing.T) {
 	agents := map[string]*policyAgent{
 		"n1": newPolicyAgent(t), "n2": newPolicyAgent(t), "n3": newPolicyAgent(t),
 	}
-	d := quickDaemon(fleet.HTTPConnFactory(time.Second))
+	d := quickDaemon(t, fleet.HTTPConnFactory(time.Second), nil)
 	srv := httptest.NewServer(d.handler())
 	defer srv.Close()
 
@@ -182,10 +192,10 @@ func TestCoordinatorEndToEndOverHTTP(t *testing.T) {
 		t.Fatalf("concurrent POST /fleet/policy = %d, want 409", resp.StatusCode)
 	}
 
-	for i := 0; i < 30 && d.co.Status().Active; i++ {
+	for i := 0; i < 30 && d.rep.Coordinator().Status().Active; i++ {
 		d.tick()
 	}
-	st := d.co.Status()
+	st := d.rep.Coordinator().Status()
 	if st.LastDecision != guard.DecisionPromoted {
 		t.Fatalf("rollout = %+v, want promoted", st)
 	}
@@ -240,54 +250,116 @@ func (m *memAgent) Status() (guard.Status, error) { return guard.Status{}, nil }
 func (m *memAgent) SLO() (guard.SLOSample, error) {
 	return guard.SLOSample{LatencyP95: 1, Throughput: 100, OK: true}, nil
 }
-func (m *memAgent) count() int {
+func (m *memAgent) countOf(payload []byte) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.proposals)
+	n := 0
+	for _, p := range m.proposals {
+		if p == string(payload) {
+			n++
+		}
+	}
+	return n
+}
+
+// driveRollout ticks d until its rollout ends and returns the decision.
+func driveRollout(t *testing.T, d *fleetDaemon) string {
+	t.Helper()
+	co := d.rep.Coordinator()
+	for i := 0; i < 30 && co.Status().Active; i++ {
+		d.tick()
+	}
+	st := co.Status()
+	if st.Active {
+		t.Fatalf("rollout still active: %+v", st)
+	}
+	return st.LastDecision
 }
 
 func TestCoordinatorWarmRestartMidRollout(t *testing.T) {
 	mfs := reconcile.NewMemFS()
 	agents := map[string]*memAgent{"n1": {}, "n2": {}, "n3": {}}
 	conns := func(a fleet.AgentRecord) fleet.AgentClient { return agents[a.ID] }
+	v1, v2, v3 := []byte(`{"v":1}`), []byte(`{"v":2}`), []byte(`{"v":3}`)
 
-	d1 := quickDaemon(conns)
-	if err := d1.attachState(fleet.NewStore(mfs, nil), reconcile.NewStore(mfs, nil)); err != nil {
-		t.Fatal(err)
+	d1 := quickDaemon(t, conns, mfs)
+	if e := d1.rep.Lease().Epoch; e != 1 {
+		t.Fatalf("leading daemon over a fresh state dir holds epoch %d, want 1", e)
 	}
 	for id := range agents {
-		if _, err := d1.reg.Register(d1.now(), id, id+":1"); err != nil {
+		if _, err := d1.rep.Registry().Register(d1.now(), id, id+":1"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d1.propose("v2", []byte(`{"v":2}`)); err != nil {
+	if err := d1.rep.Propose(d1.now(), "v1", v1); err != nil {
+		t.Fatal(err)
+	}
+	if got := driveRollout(t, d1); got != guard.DecisionPromoted {
+		t.Fatalf("v1 rollout ended %q, want promoted", got)
+	}
+	if err := d1.rep.Propose(d1.now(), "v2", v2); err != nil {
 		t.Fatal(err)
 	}
 	d1.tick() // canary staged; registry + rollout persisted — then "crash"
 
-	d2 := quickDaemon(conns)
-	if err := d2.attachState(fleet.NewStore(mfs, nil), reconcile.NewStore(mfs, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(d2.reg.Agents()); got != 3 {
+	d2 := quickDaemon(t, conns, mfs)
+	if got := len(d2.rep.Registry().Agents()); got != 3 {
 		t.Fatalf("restarted registry has %d agents, want 3", got)
 	}
-	st := d2.co.Status()
+	st := d2.rep.Coordinator().Status()
 	if !st.Active || st.Version != "v2" {
 		t.Fatalf("restarted rollout = %+v, want active v2", st)
 	}
-	// The restarted coordinator does not know the pending payload (it
-	// died before promotion), so the rollout must still converge and no
-	// agent may be pushed twice.
-	for i := 0; i < 30 && d2.co.Status().Active; i++ {
-		d2.tick()
-	}
-	if st := d2.co.Status(); st.LastDecision != guard.DecisionPromoted {
-		t.Fatalf("rollout after restart = %+v, want promoted", st)
+	// The resumed rollout converges without pushing any agent twice.
+	if got := driveRollout(t, d2); got != guard.DecisionPromoted {
+		t.Fatalf("rollout after restart ended %q, want promoted", got)
 	}
 	for id, a := range agents {
-		if a.count() != 1 {
-			t.Fatalf("agent %s pushed %d times across restart, want once", id, a.count())
+		if n := a.countOf(v2); n != 1 {
+			t.Fatalf("agent %s got v2 %d times across restart, want once", id, n)
 		}
+	}
+	// The resumed promotion moved the fleet last-good to v2: the next
+	// proposal rolls back to v2, not to the pre-crash v1.
+	if got := d2.rep.Coordinator().LastGood(); string(got) != string(v2) {
+		t.Fatalf("fleet last-good after resumed promotion = %s, want %s", got, v2)
+	}
+	if err := d2.rep.Propose(d2.now(), "v3", v3); err != nil {
+		t.Fatal(err)
+	}
+	if got := d2.rep.Coordinator().State().StablePayload; string(got) != string(v2) {
+		t.Fatalf("v3 rollback target = %s, want %s", got, v2)
+	}
+}
+
+// TestStateDirLastGoodRecordSeedsRollout: a state directory whose fleet
+// last-good sits in the policy-store file (the layout before the rollout
+// state carried it) keeps it, and a last-good recorded in the rollout
+// state outranks that file.
+func TestStateDirLastGoodRecordSeedsRollout(t *testing.T) {
+	mfs := reconcile.NewMemFS()
+	if err := reconcile.NewStore(mfs, nil).SaveLastGoodPolicy([]byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	agents := map[string]*memAgent{"n1": {}, "n2": {}}
+	conns := func(a fleet.AgentRecord) fleet.AgentClient { return agents[a.ID] }
+	d1 := quickDaemon(t, conns, mfs)
+	if got := string(d1.rep.Coordinator().LastGood()); got != `{"v":1}` {
+		t.Fatalf("last-good from the policy-store file = %s, want {\"v\":1}", got)
+	}
+	for id := range agents {
+		if _, err := d1.rep.Registry().Register(d1.now(), id, id+":1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d1.rep.Propose(d1.now(), "v2", []byte(`{"v":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := driveRollout(t, d1); got != guard.DecisionPromoted {
+		t.Fatalf("rollout ended %q, want promoted", got)
+	}
+	d2 := quickDaemon(t, conns, mfs)
+	if got := string(d2.rep.Coordinator().LastGood()); got != `{"v":2}` {
+		t.Fatalf("restarted last-good = %s, want the promoted {\"v\":2}", got)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // TestFleetPprofGatedByFlag: the profiling surface must not exist unless
 // the operator asked for it.
 func TestFleetPprofGatedByFlag(t *testing.T) {
-	off := quickDaemon(func(fleet.AgentRecord) fleet.AgentClient { return &memAgent{} })
+	off := quickDaemon(t, func(fleet.AgentRecord) fleet.AgentClient { return &memAgent{} }, nil)
 	srvOff := httptest.NewServer(off.handler())
 	defer srvOff.Close()
 	resp, err := http.Get(srvOff.URL + "/debug/pprof/")
@@ -29,12 +29,12 @@ func TestFleetPprofGatedByFlag(t *testing.T) {
 		t.Fatalf("GET /debug/pprof/ without -pprof = %d, want 404", resp.StatusCode)
 	}
 
-	on := newFleetDaemon(fleetOptions{
+	on := mustDaemon(t, fleetOptions{
 		registry:     fleet.RegistryConfig{HeartbeatInterval: time.Second},
 		rollout:      fleet.RolloutConfig{CanaryFraction: 0.34, Waves: 1, WindowTicks: 1, PushTicks: 1},
 		conns:        func(fleet.AgentRecord) fleet.AgentClient { return &memAgent{} },
 		pprofEnabled: true,
-	})
+	}, nil)
 	srvOn := httptest.NewServer(on.handler())
 	defer srvOn.Close()
 	resp, err = http.Get(srvOn.URL + "/debug/pprof/")
@@ -51,19 +51,19 @@ func TestFleetPprofGatedByFlag(t *testing.T) {
 // /debug/trace exposes the resulting rollout/push span tree.
 func TestFleetDebugTrace(t *testing.T) {
 	agents := map[string]*memAgent{"n1": {}, "n2": {}, "n3": {}}
-	d := quickDaemon(func(a fleet.AgentRecord) fleet.AgentClient { return agents[a.ID] })
+	d := quickDaemon(t, func(a fleet.AgentRecord) fleet.AgentClient { return agents[a.ID] }, nil)
 	for id := range agents {
-		if _, err := d.reg.Register(d.now(), id, id+":1"); err != nil {
+		if _, err := d.rep.Registry().Register(d.now(), id, id+":1"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.propose("v2", []byte(`{"v":2}`)); err != nil {
+	if err := d.rep.Propose(d.now(), "v2", []byte(`{"v":2}`)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 30 && d.co.Status().Active; i++ {
+	for i := 0; i < 30 && d.rep.Coordinator().Status().Active; i++ {
 		d.tick()
 	}
-	if st := d.co.Status(); st.LastDecision != guard.DecisionPromoted {
+	if st := d.rep.Coordinator().Status(); st.LastDecision != guard.DecisionPromoted {
 		t.Fatalf("rollout = %+v, want promoted", st)
 	}
 
@@ -138,7 +138,7 @@ func TestFleetDebugTrace(t *testing.T) {
 // TestFleetMetricsBuildInfoAndUptime: every scrape must carry the build
 // identity gauge and a fresh uptime reading.
 func TestFleetMetricsBuildInfoAndUptime(t *testing.T) {
-	d := quickDaemon(func(fleet.AgentRecord) fleet.AgentClient { return &memAgent{} })
+	d := quickDaemon(t, func(fleet.AgentRecord) fleet.AgentClient { return &memAgent{} }, nil)
 	d.start = time.Now().Add(-3 * time.Second)
 	srv := httptest.NewServer(d.handler())
 	defer srv.Close()

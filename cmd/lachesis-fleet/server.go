@@ -9,12 +9,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 
 	"lachesis/internal/core"
 	"lachesis/internal/fleet"
-	"lachesis/internal/guard"
+	"lachesis/internal/reconcile"
 	"lachesis/internal/span"
 	"lachesis/internal/telemetry"
 )
@@ -58,51 +57,26 @@ type fleetOptions struct {
 	standby bool
 }
 
-// leaseView is the JSON shape of GET /lease. The embedded lease
-// marshals flat, so a peer's HTTPPeer client can decode it straight
-// into a fleet.LeaseInfo.
-type leaseView struct {
-	fleet.LeaseInfo
-	// Leading reports whether this coordinator currently holds the lease.
-	Leading bool `json:"leading"`
-	// ID is this coordinator's HA identity.
-	ID string `json:"id"`
-}
-
-// fleetDaemon owns the coordinator's moving parts and their HTTP
-// surface. The registry and coordinator carry their own locks; d.mu
-// only guards the last-good bookkeeping.
+// fleetDaemon is the HTTP surface over one fleet.Replica, plus the
+// daemon's observability: audit trail, telemetry, the span ring and
+// the flight recorder.
 type fleetDaemon struct {
-	reg    *fleet.Registry
-	co     *fleet.Coordinator
-	lm     *fleet.LeaseManager
-	repl   *fleet.Replicator
-	fol    *fleet.Follower
-	fstore *fleet.Store
+	rep    *fleet.Replica
 	tel    *telemetry.Registry
 	trail  *core.AuditTrail
 	spans  *span.Recorder
 	flight *span.FlightRecorder
 	pprof  bool
 	start  time.Time
-
-	ctrFailovers *telemetry.Counter
-
-	mu sync.Mutex
-	// lastGood is the fleet-level stable payload: the last promoted
-	// candidate, used as the rollback target of the next rollout.
-	lastGood []byte
-	// pending is the candidate payload of the in-flight rollout.
-	pending []byte
-	// promotionsSeen detects promotion transitions across ticks.
-	promotionsSeen int64
-	// proposals numbers auto-versioned candidates.
-	proposals int64
-	// policyStore persists lastGood (nil: memory only).
-	policyStore guard.PolicyStore
 }
 
-func newFleetDaemon(opts fleetOptions) *fleetDaemon {
+// newFleetDaemon builds the daemon's replica. state (nil: in-memory)
+// holds the registry, rollout and lease files; over a directory that
+// already holds them this is the warm restart — registry leases
+// re-anchor at now, an in-flight rollout resumes at its persisted
+// phase, and a leading daemon acquires once, above every epoch the
+// lease file records. warnf receives state-file corruption warnings.
+func newFleetDaemon(opts fleetOptions, state reconcile.FS, warnf func(format string, args ...any)) (*fleetDaemon, error) {
 	d := &fleetDaemon{
 		tel:   telemetry.NewRegistry(),
 		trail: core.NewAuditTrail(0, opts.sink),
@@ -110,263 +84,54 @@ func newFleetDaemon(opts fleetOptions) *fleetDaemon {
 		start: time.Now(),
 	}
 	telemetry.RegisterBuildInfo(d.tel, "lachesis-fleet")
-	d.reg = fleet.NewRegistry(opts.registry)
-	d.reg.SetAudit(d.trail)
-	d.reg.SetTelemetry(d.tel)
-	d.co = fleet.NewCoordinator(opts.rollout, d.reg, opts.conns)
-	d.co.SetAudit(d.trail)
-	d.co.SetTelemetry(d.tel)
-	id := opts.id
-	if id == "" {
-		id = "coordinator"
-	}
-	d.lm = fleet.NewLeaseManager(fleet.LeaseConfig{ID: id, TTL: opts.leaseTTL})
-	d.lm.SetAudit(d.trail)
-	d.lm.SetTelemetry(d.tel)
-	d.repl = fleet.NewReplicator()
-	d.repl.SetAudit(d.trail)
-	d.repl.SetTelemetry(d.tel)
-	for name, pc := range opts.peers {
-		d.repl.AddPeer(name, pc)
-	}
-	d.fol = fleet.NewFollower(nil)
-	d.ctrFailovers = d.tel.Counter(fleet.MetricFleetFailoversTotal)
-	// Fencing: every push carries our lease epoch, and an agent rejecting
-	// it (it has seen a newer leader) deposes us on the spot.
-	d.co.SetEpoch(d.lm.FenceEpoch)
-	d.co.SetFencedHook(func(now time.Duration, agent string) {
-		d.lm.Deposed(now, agent)
-	})
-	if !opts.standby {
-		d.lm.Acquire(d.now())
-	}
 	// Tracing is always on: each rollout opens a "rollout" root span whose
 	// context parents every per-agent "push" and rides each HTTP hop as a
 	// Traceparent header, so one trace ID spans coordinator -> agent ->
 	// canary verdict.
 	d.spans = span.New(span.Config{Process: "lachesis-fleet", Sink: opts.spanSink})
-	d.co.SetSpans(d.spans)
+	id := opts.id
+	if id == "" {
+		id = "coordinator"
+	}
+	cfg := fleet.ReplicaConfig{
+		ID: id, LeaseTTL: opts.leaseTTL,
+		Registry: opts.registry, Rollout: opts.rollout, Conns: opts.conns,
+		Standby: opts.standby,
+		Audit:   d.trail, Telemetry: d.tel, Spans: d.spans,
+	}
+	if state != nil {
+		cfg.Store = fleet.NewStore(state, warnf)
+		// Older state directories kept the fleet last-good in the agent
+		// policy-store file rather than in the rollout state; it seeds
+		// the rollout only when the rollout records none.
+		raw, ok, err := reconcile.NewStore(state, warnf).LoadLastGoodPolicy()
+		if err != nil {
+			return nil, fmt.Errorf("load fleet last-good: %w", err)
+		}
+		if ok {
+			cfg.LastGood = raw
+		}
+	}
+	rep, err := fleet.NewReplica(d.now(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.rep = rep
+	for name, pc := range opts.peers {
+		rep.AddPeer(name, pc)
+	}
 	if opts.flightDir != "" {
 		d.flight = span.NewFlightRecorder(d.spans, opts.flightDir, 0)
 		flight := d.flight
-		d.co.Fanout().SetBreakerHook(func(now time.Duration, agent string) {
+		rep.Coordinator().Fanout().SetBreakerHook(func(now time.Duration, agent string) {
 			_, _ = flight.Trip(span.Trigger{At: now, Kind: span.TriggerBreakerOpen, Detail: "agent " + agent})
 		})
 	}
-	return d
+	return d, nil
 }
 
 // now is the daemon-relative clock feeding leases and rollout ticks.
 func (d *fleetDaemon) now() time.Duration { return time.Since(d.start) }
-
-// attachState wires crash-safe persistence and performs the warm
-// restart: registry leases re-anchor at now, an in-flight rollout
-// resumes at its persisted phase, and the fleet last-good payload is
-// reloaded.
-func (d *fleetDaemon) attachState(fs *fleet.Store, ps guard.PolicyStore) error {
-	now := d.now()
-	d.fstore = fs
-	d.fol = fleet.NewFollower(fs)
-	d.reg.SetStore(fs)
-	if err := d.reg.Restore(now); err != nil {
-		return fmt.Errorf("restore registry: %w", err)
-	}
-	d.co.SetStore(fs)
-	if _, err := d.co.Resume(now); err != nil {
-		return fmt.Errorf("resume rollout: %w", err)
-	}
-	// Epochs must stay monotonic across restarts: fold in the persisted
-	// lease, then (if we came up leading) re-acquire above it — the lease
-	// file proves what epoch a previous incarnation reached, never that
-	// the lease is still ours.
-	d.lm.SetStore(fs)
-	if err := d.lm.Restore(now); err != nil {
-		return fmt.Errorf("restore lease: %w", err)
-	}
-	if d.lm.Leading() {
-		d.lm.Acquire(now)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.policyStore = ps
-	if raw, ok, err := ps.LoadLastGoodPolicy(); err != nil {
-		return fmt.Errorf("load fleet last-good: %w", err)
-	} else if ok {
-		d.lastGood = raw
-	}
-	// Promotions that happened before the crash must not be mistaken for
-	// fresh ones after it.
-	d.promotionsSeen = d.co.Status().Promotions
-	return nil
-}
-
-// tick runs one coordinator cycle. Leading: lease renewal, sweep,
-// rollout advance, promotion bookkeeping (a freshly promoted candidate
-// becomes the new fleet-level last-good), and a replication checkpoint
-// to every standby. Standing by: observe the leader's lease (the
-// checkpoints it pushes plus a GET /lease poll as fallback) and promote
-// when it expires or is released.
-func (d *fleetDaemon) tick() {
-	now := d.now()
-	if !d.lm.Leading() {
-		d.observePeers(now)
-		if d.lm.Expired(now) {
-			d.promote(now)
-		}
-		return
-	}
-	d.lm.Renew(now)
-	d.reg.Sweep(now)
-	d.co.Tick(now)
-	st := d.co.Status()
-	d.mu.Lock()
-	if st.Promotions > d.promotionsSeen && d.pending != nil {
-		d.promotionsSeen = st.Promotions
-		d.lastGood = d.pending
-		d.pending = nil
-		if d.policyStore != nil {
-			if err := d.policyStore.SaveLastGoodPolicy(d.lastGood); err != nil {
-				d.trail.Record(core.AuditEvent{At: now, Kind: fleet.AuditKindFleet,
-					Outcome: "WARNING: persisting fleet last-good failed: " + err.Error()})
-			}
-		}
-	}
-	d.mu.Unlock()
-	// A push fenced mid-tick deposed us: don't publish a checkpoint for a
-	// lease we no longer hold.
-	if d.lm.Leading() {
-		d.replicate(now)
-	}
-}
-
-// observePeers polls every peer's lease view into the lease manager.
-func (d *fleetDaemon) observePeers(now time.Duration) {
-	for _, name := range d.repl.Peers() {
-		pc := d.peer(name)
-		if pc == nil {
-			continue
-		}
-		if info, err := pc.Lease(); err == nil {
-			d.lm.Observe(info, now)
-		}
-	}
-}
-
-// peer resolves a registered peer client by name.
-func (d *fleetDaemon) peer(name string) fleet.PeerClient {
-	// The replicator owns the peer map; re-resolving through it keeps one
-	// source of truth.
-	return d.repl.Peer(name)
-}
-
-// replicate publishes a full-state checkpoint to every standby.
-func (d *fleetDaemon) replicate(now time.Duration) {
-	if len(d.repl.Peers()) == 0 {
-		return
-	}
-	d.mu.Lock()
-	lastGood := d.lastGood
-	d.mu.Unlock()
-	d.repl.Publish(now, fleet.Checkpoint{
-		Lease:    d.lm.Info(),
-		Registry: d.reg.Agents(),
-		Rollout:  d.co.State(),
-		LastGood: lastGood,
-	})
-}
-
-// promote is the standby takeover: acquire the lease with a bumped
-// epoch, adopt the last replicated checkpoint (registry leases
-// re-anchored, rollout resumed exactly where the dead leader left it —
-// Pushed flags plus the agents' idempotent 409 handshake guarantee no
-// double pushes), and start leading. Without any checkpoint the warm
-// state from the store (if attached) already loaded at startup.
-func (d *fleetDaemon) promote(now time.Duration) {
-	info := d.lm.Acquire(now)
-	if d.ctrFailovers != nil {
-		d.ctrFailovers.Inc()
-	}
-	active := false
-	if cp, ok := d.fol.Last(); ok {
-		d.reg.Adopt(now, cp.Registry)
-		active = d.co.Adopt(now, cp.Rollout)
-		d.mu.Lock()
-		if cp.LastGood != nil {
-			d.lastGood = cp.LastGood
-		}
-		if active {
-			d.pending = cp.Rollout.Payload
-		}
-		d.promotionsSeen = cp.Rollout.Promotions
-		d.mu.Unlock()
-	}
-	d.trail.Record(core.AuditEvent{At: now, Kind: fleet.AuditKindFleet,
-		Outcome: fmt.Sprintf("standby promoted to leader (epoch %d, rollout active: %v)", info.Epoch, active)})
-}
-
-// shutdown takes the final state checkpoint on SIGTERM/SIGINT: release
-// the lease (published to standbys so one promotes immediately instead
-// of waiting out the TTL) and persist registry, rollout, and last-good
-// through the attached stores.
-func (d *fleetDaemon) shutdown() {
-	now := d.now()
-	if d.lm.Leading() {
-		released := d.lm.Release(now)
-		d.mu.Lock()
-		lastGood := d.lastGood
-		d.mu.Unlock()
-		if len(d.repl.Peers()) > 0 {
-			d.repl.Publish(now, fleet.Checkpoint{
-				Lease:    released,
-				Registry: d.reg.Agents(),
-				Rollout:  d.co.State(),
-				LastGood: lastGood,
-			})
-		}
-	}
-	if d.fstore != nil {
-		if err := d.fstore.SaveRegistry(d.reg.Agents()); err != nil {
-			d.trail.Record(core.AuditEvent{At: now, Kind: fleet.AuditKindFleet,
-				Outcome: "WARNING: final registry checkpoint failed: " + err.Error()})
-		}
-		if err := d.fstore.SaveRollout(d.co.State()); err != nil {
-			d.trail.Record(core.AuditEvent{At: now, Kind: fleet.AuditKindFleet,
-				Outcome: "WARNING: final rollout checkpoint failed: " + err.Error()})
-		}
-	}
-	d.mu.Lock()
-	if d.policyStore != nil && d.lastGood != nil {
-		if err := d.policyStore.SaveLastGoodPolicy(d.lastGood); err != nil {
-			d.trail.Record(core.AuditEvent{At: now, Kind: fleet.AuditKindFleet,
-				Outcome: "WARNING: final last-good checkpoint failed: " + err.Error()})
-		}
-	}
-	d.mu.Unlock()
-	d.trail.Record(core.AuditEvent{At: now, Kind: fleet.AuditKindFleet, Outcome: "shutdown: final state checkpoint taken"})
-}
-
-// propose stages a candidate payload fleet-wide. The rollback target is
-// the current fleet last-good (the payload itself on the very first
-// rollout, making rollback a no-op rather than a nil push).
-func (d *fleetDaemon) propose(version string, payload []byte) error {
-	d.mu.Lock()
-	if version == "" {
-		d.proposals++
-		version = fmt.Sprintf("fleet-%d", d.proposals)
-	}
-	stable := d.lastGood
-	if stable == nil {
-		stable = payload
-	}
-	d.mu.Unlock()
-	if err := d.co.Propose(d.now(), version, payload, stable); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.pending = payload
-	d.mu.Unlock()
-	return nil
-}
 
 // traceView is the JSON shape of GET /debug/trace.
 type traceView struct {
@@ -398,12 +163,12 @@ type fleetHealth struct {
 // leader hint, so beacons and operators fail over instead of mutating
 // follower state.
 func (d *fleetDaemon) standby(w http.ResponseWriter) bool {
-	if d.lm.Leading() {
+	lease := d.rep.Lease()
+	if lease.Leading {
 		return false
 	}
-	info := d.lm.Info()
-	w.Header().Set(fleet.EpochHeader, strconv.FormatInt(info.Epoch, 10))
-	http.Error(w, fmt.Sprintf("standby: not leading (leader %s, epoch %d)", info.Holder, info.Epoch),
+	w.Header().Set(fleet.EpochHeader, strconv.FormatInt(lease.Epoch, 10))
+	http.Error(w, fmt.Sprintf("standby: not leading (leader %s, epoch %d)", lease.Holder, lease.Epoch),
 		http.StatusServiceUnavailable)
 	return true
 }
@@ -425,7 +190,8 @@ func (d *fleetDaemon) handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		rec, err := d.reg.Register(d.now(), req.ID, req.Addr)
+		reg := d.rep.Registry()
+		rec, err := reg.Register(d.now(), req.ID, req.Addr)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -435,8 +201,8 @@ func (d *fleetDaemon) handler() http.Handler {
 		// registration round — not only the agents it pushes to.
 		writeJSON(w, http.StatusOK, fleet.RegisterResponse{
 			Generation: rec.Generation,
-			IntervalMs: d.reg.Config().HeartbeatInterval.Milliseconds(),
-			Epoch:      d.lm.FenceEpoch(),
+			IntervalMs: reg.Config().HeartbeatInterval.Milliseconds(),
+			Epoch:      d.fenceEpoch(),
 		})
 	})
 
@@ -453,8 +219,8 @@ func (d *fleetDaemon) handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		w.Header().Set(fleet.EpochHeader, strconv.FormatInt(d.lm.FenceEpoch(), 10))
-		switch err := d.reg.Heartbeat(d.now(), req.ID); {
+		w.Header().Set(fleet.EpochHeader, strconv.FormatInt(d.fenceEpoch(), 10))
+		switch err := d.rep.Registry().Heartbeat(d.now(), req.ID); {
 		case errors.Is(err, fleet.ErrUnknownAgent):
 			// 404 tells the beacon to re-register (new lease, new generation).
 			http.Error(w, err.Error(), http.StatusNotFound)
@@ -466,7 +232,7 @@ func (d *fleetDaemon) handler() http.Handler {
 	})
 
 	mux.HandleFunc("/lease", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, leaseView{LeaseInfo: d.lm.Info(), Leading: d.lm.Leading(), ID: d.lm.Holder()})
+		writeJSON(w, http.StatusOK, d.rep.Lease())
 	})
 
 	mux.HandleFunc("/replicate", func(w http.ResponseWriter, r *http.Request) {
@@ -479,53 +245,29 @@ func (d *fleetDaemon) handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		now := d.now()
-		// Observing the checkpoint's lease heals split brain from either
-		// side: a newer epoch deposes us if we were leading...
-		d.lm.Observe(cp.Lease, now)
-		if d.lm.Leading() {
-			// ...and if we still lead, the SENDER is the stale leader: fence
-			// its replication stream exactly like a stale push.
-			info := d.lm.Info()
-			w.Header().Set(fleet.EpochHeader, strconv.FormatInt(info.Epoch, 10))
-			http.Error(w, fmt.Sprintf("fenced: checkpoint epoch %d < leader epoch %d", cp.Lease.Epoch, info.Epoch),
-				http.StatusForbidden)
-			return
+		switch err := d.rep.ApplyCheckpoint(d.now(), cp); {
+		case fleet.IsFenced(err):
+			// A stale sender (or a checkpoint older than one applied):
+			// fenced exactly like a stale push.
+			w.Header().Set(fleet.EpochHeader, strconv.FormatInt(d.rep.Lease().Epoch, 10))
+			http.Error(w, err.Error(), http.StatusForbidden)
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		default:
+			w.WriteHeader(http.StatusNoContent)
 		}
-		if err := d.fol.Apply(cp); err != nil {
-			if fleet.IsFenced(err) {
-				http.Error(w, err.Error(), http.StatusForbidden)
-			} else {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		// Mirror the leader's last-good so a promotion (or a standby
-		// restart) rolls back to the right payload.
-		d.mu.Lock()
-		if cp.LastGood != nil {
-			d.lastGood = cp.LastGood
-			if d.policyStore != nil {
-				if err := d.policyStore.SaveLastGoodPolicy(cp.LastGood); err != nil {
-					d.trail.Record(core.AuditEvent{At: now, Kind: fleet.AuditKindFleet,
-						Outcome: "WARNING: persisting replicated last-good failed: " + err.Error()})
-				}
-			}
-		}
-		d.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
 	})
 
 	mux.HandleFunc("/fleet/agents", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, struct {
 			Agents []fleet.AgentRecord `json:"agents"`
-		}{Agents: d.reg.Agents()})
+		}{Agents: d.rep.Registry().Agents()})
 	})
 
 	mux.HandleFunc("/fleet/policy", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:
-			writeJSON(w, http.StatusOK, d.co.Status())
+			writeJSON(w, http.StatusOK, d.rep.Coordinator().Status())
 		case http.MethodPost:
 			if d.standby(w) {
 				return
@@ -535,13 +277,13 @@ func (d *fleetDaemon) handler() http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			if err := d.propose(r.URL.Query().Get("version"), body); err != nil {
+			if err := d.rep.Propose(d.now(), r.URL.Query().Get("version"), body); err != nil {
 				// 409 mirrors the agent API: a rollout in flight must not be
 				// silently displaced.
 				http.Error(w, err.Error(), http.StatusConflict)
 				return
 			}
-			writeJSON(w, http.StatusAccepted, d.co.Status())
+			writeJSON(w, http.StatusAccepted, d.rep.Coordinator().Status())
 		default:
 			w.Header().Set("Allow", "GET, POST")
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -551,17 +293,18 @@ func (d *fleetDaemon) handler() http.Handler {
 	mux.HandleFunc("/fleet/health", func(w http.ResponseWriter, r *http.Request) {
 		agents := map[string]int{}
 		active := 0
-		for _, a := range d.reg.Agents() {
+		all := d.rep.Registry().Agents()
+		for _, a := range all {
 			agents[a.State]++
 			if a.State == fleet.LeaseActive {
 				active++
 			}
 		}
-		info := d.lm.Info()
-		h := fleetHealth{Status: "ok", Agents: agents, Rollout: d.co.Status(),
-			Leading: d.lm.Leading(), Epoch: info.Epoch, Holder: info.Holder}
+		lease := d.rep.Lease()
+		h := fleetHealth{Status: "ok", Agents: agents, Rollout: d.rep.Coordinator().Status(),
+			Leading: lease.Leading, Epoch: lease.Epoch, Holder: lease.Holder}
 		code := http.StatusOK
-		if active == 0 && len(d.reg.Agents()) > 0 {
+		if active == 0 && len(all) > 0 {
 			h.Status = "degraded" // a fleet with zero reachable agents is not ok
 			code = http.StatusServiceUnavailable
 		}
@@ -631,6 +374,21 @@ func (d *fleetDaemon) handler() http.Handler {
 
 	return mux
 }
+
+// fenceEpoch is the epoch register and heartbeat responses carry: ours
+// while leading, 0 otherwise.
+func (d *fleetDaemon) fenceEpoch() int64 {
+	if lease := d.rep.Lease(); lease.Leading {
+		return lease.Epoch
+	}
+	return 0
+}
+
+// tick runs one coordinator cycle.
+func (d *fleetDaemon) tick() { d.rep.Tick(d.now()) }
+
+// shutdown takes the final state checkpoint on SIGTERM/SIGINT.
+func (d *fleetDaemon) shutdown() { d.rep.Shutdown(d.now()) }
 
 // writeJSON renders v as an indented JSON response.
 func writeJSON(w http.ResponseWriter, code int, v any) {

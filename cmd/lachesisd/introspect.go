@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"lachesis/internal/agent"
 	"lachesis/internal/core"
 	"lachesis/internal/fleet"
 	"lachesis/internal/guard"
@@ -178,16 +179,10 @@ type introspectionDeps struct {
 	state  *reconcile.DesiredState
 	canary *guard.Canary
 	wd     *guard.Watchdog
-	// propose stages a policy payload as a canary candidate (POST
-	// /policy). Called with mu held; parent is the request's incoming
-	// trace context (zero when the caller sent no Traceparent header).
-	// nil disables the endpoint.
-	propose func(raw []byte, parent span.Context) error
-	// fence admits or rejects a push's fencing epoch (the
-	// X-Lachesis-Epoch header) BEFORE propose runs: a *fleet.FencedError
-	// means a deposed coordinator is pushing and the request gets a 403.
-	// Called with mu held; nil admits everything (unfenced agent).
-	fence func(epoch int64) error
+	// agent stages POST /policy payloads through the daemon's one
+	// proposal path (epoch gate first: a deposed coordinator's push gets
+	// a 403). Called with mu held; nil disables the endpoint.
+	agent *agent.Agent
 	// spans backs GET /debug/trace (recent spans, ?trace=<id>). nil
 	// hides the endpoint.
 	spans *span.Recorder
@@ -266,7 +261,7 @@ func newIntrospectionHandler(d introspectionDeps) http.Handler {
 			mu.Unlock()
 			writeJSON(w, http.StatusOK, st)
 		case http.MethodPost:
-			if d.propose == nil {
+			if d.agent == nil {
 				http.Error(w, "policy rollout unavailable", http.StatusNotImplemented)
 				return
 			}
@@ -295,26 +290,28 @@ func newIntrospectionHandler(d introspectionDeps) http.Handler {
 			// absent or malformed header yields the zero context and the
 			// rollout opens a local trace instead.
 			parent, _ := span.ParseTraceparent(r.Header.Get(span.TraceparentHeader))
+			var now time.Duration
+			if !d.start.IsZero() {
+				now = time.Since(d.start)
+			}
 			mu.Lock()
-			if d.fence != nil {
-				err = d.fence(epoch)
-			}
-			if err == nil {
-				err = d.propose(body, parent)
-			}
+			_, err = d.agent.Propose(now, body, parent, epoch)
 			st := d.canary.Status()
 			mu.Unlock()
-			if fleet.IsFenced(err) {
+			switch {
+			case fleet.IsFenced(err):
 				http.Error(w, err.Error(), http.StatusForbidden)
-				return
-			}
-			if err != nil {
-				// 409: a rollout already in flight (or a bad payload)
-				// must not silently displace the running candidate.
+			case agent.IsBadPolicy(err):
+				// The proposer's bytes are at fault: a client error,
+				// never a conflict the fan-out would count as healthy.
+				http.Error(w, err.Error(), http.StatusBadRequest)
+			case err != nil:
+				// 409: a rollout already in flight must not silently
+				// displace the running candidate.
 				http.Error(w, err.Error(), http.StatusConflict)
-				return
+			default:
+				writeJSON(w, http.StatusAccepted, st)
 			}
-			writeJSON(w, http.StatusAccepted, st)
 		default:
 			w.Header().Set("Allow", "GET, POST")
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"lachesis/internal/agent"
 	"lachesis/internal/core"
 	"lachesis/internal/fleet"
 	"lachesis/internal/guard"
@@ -297,10 +298,19 @@ func TestIntrospectionHealthReconcileView(t *testing.T) {
 	}
 }
 
-// TestPolicyRolloutEndpoint: POST /policy stages a candidate through the
-// canary controller, a second POST while the rollout is in flight is
-// rejected, and /health carries the rollout and watchdog views.
-func TestPolicyRolloutEndpoint(t *testing.T) {
+// policyStack is the daemon's policy path under test: a dry-run
+// binding behind a canary slot, and the agent proposing into it.
+type policyStack struct {
+	mu     sync.Mutex
+	mw     *core.Middleware
+	canary *guard.Canary
+	deps   introspectionDeps
+}
+
+// newPolicyStack wires a canary with the given window and an agent
+// fenced by gate (nil: unfenced), as run() does.
+func newPolicyStack(t *testing.T, window int, gate *fleet.EpochGate) *policyStack {
+	t.Helper()
 	ctl, err := oslinux.New(oslinux.Config{
 		Root:    "/cg/lachesis",
 		System:  oslinux.DryRunSystem{W: io.Discard},
@@ -314,14 +324,12 @@ func TestPolicyRolloutEndpoint(t *testing.T) {
 		{Name: "q.count.0", Driver: "static", Query: "q", Thread: 101, Logical: []string{"count"}},
 		{Name: "q.toll.0", Driver: "static", Query: "q", Thread: 102, Logical: []string{"toll"}},
 	}}
-	mw := core.NewMiddleware(nil)
-	mw.SetAudit(trail)
-	canary := guard.NewCanary(guard.Config{Window: 2})
-	canary.SetAudit(trail)
-	canary.SetProvider(mw.Provider())
-	wd := guard.NewWatchdog(guard.WatchdogConfig{Fetch: time.Second})
-	slot := canary.Slot(buildPolicy(map[string]float64{"count": 10, "toll": 1}))
-	if err := mw.Bind(core.Binding{
+	ps := &policyStack{mw: core.NewMiddleware(nil), canary: guard.NewCanary(guard.Config{Window: window})}
+	ps.mw.SetAudit(trail)
+	ps.canary.SetAudit(trail)
+	ps.canary.SetProvider(ps.mw.Provider())
+	slot := ps.canary.Slot(buildPolicy(map[string]float64{"count": 10, "toll": 1}))
+	if err := ps.mw.Bind(core.Binding{
 		Policy:     slot,
 		Translator: core.NewNiceTranslator(core.AuditOS(ctl, trail)),
 		Drivers:    []core.Driver{drv},
@@ -329,21 +337,33 @@ func TestPolicyRolloutEndpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	ag := agent.New(agent.Config{
+		ID: "n1", Canary: ps.canary, Gate: gate, Audit: trail,
+		Build: func(_ string, pri core.LogicalSchedule) core.Policy { return buildPolicy(pri) },
+	})
+	ps.deps = introspectionDeps{mu: &ps.mu, mw: ps.mw, trail: trail, canary: ps.canary, agent: ag}
+	return ps
+}
 
-	var mu sync.Mutex
-	propose := func(raw []byte, parent span.Context) error {
-		var pc policyConfig
-		if err := json.Unmarshal(raw, &pc); err != nil {
-			return err
-		}
-		if len(pc.Priorities) == 0 {
-			return errors.New("policy has no priorities")
-		}
-		return canary.ProposeCtx(0, "http-test", buildPolicy(pc.Priorities), raw, parent)
+// cycle runs one decision cycle at second i.
+func (ps *policyStack) cycle(t *testing.T, i int) {
+	t.Helper()
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if _, err := ps.mw.Step(time.Duration(i) * time.Second); err != nil {
+		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newIntrospectionHandler(introspectionDeps{
-		mu: &mu, mw: mw, trail: trail, canary: canary, wd: wd, propose: propose,
-	}))
+	ps.canary.Tick(time.Duration(i) * time.Second)
+}
+
+// TestPolicyRolloutEndpoint: POST /policy stages a candidate through the
+// canary controller, a second POST while the rollout is in flight is
+// rejected, and /health carries the rollout and watchdog views.
+func TestPolicyRolloutEndpoint(t *testing.T) {
+	ps := newPolicyStack(t, 2, nil)
+	deps := ps.deps
+	deps.wd = guard.NewWatchdog(guard.WatchdogConfig{Fetch: time.Second})
+	srv := httptest.NewServer(newIntrospectionHandler(deps))
 	defer srv.Close()
 
 	// Idle controller: GET /policy reports no active rollout.
@@ -373,8 +393,8 @@ func TestPolicyRolloutEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /policy status %d", resp.StatusCode)
 	}
-	if !st.Active || st.Candidate != "http-test" {
-		t.Errorf("rollout not staged: %+v", st)
+	if !st.Active || st.Candidate != "reload-1" {
+		t.Errorf("rollout not staged as reload-1: %+v", st)
 	}
 
 	// A second proposal while one is in flight must be rejected.
@@ -407,12 +427,7 @@ func TestPolicyRolloutEndpoint(t *testing.T) {
 
 	// Two clean cycles promote the candidate (window 2, no SLO sampler).
 	for i := 1; i <= 2; i++ {
-		mu.Lock()
-		if _, err := mw.Step(time.Duration(i) * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		canary.Tick(time.Duration(i) * time.Second)
-		mu.Unlock()
+		ps.cycle(t, i)
 	}
 	resp, err = http.Get(srv.URL + "/policy")
 	if err != nil {
@@ -576,23 +591,16 @@ func TestMetricsBuildInfoAndUptime(t *testing.T) {
 }
 
 func TestPolicyEndpointFencesStaleCoordinatorEpochs(t *testing.T) {
-	mw, trail, _ := newTestDaemon(t, nil)
 	gate, err := fleet.NewEpochGate("n1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gate.Observe(5) // this agent has already seen epoch 5
-
-	var mu sync.Mutex
-	proposals := 0
-	canary := guard.NewCanary(guard.Config{Window: 2})
-	srv := httptest.NewServer(newIntrospectionHandler(introspectionDeps{
-		mu: &mu, mw: mw, trail: trail, canary: canary,
-		propose: func([]byte, span.Context) error { proposals++; return nil },
-		fence:   gate.Admit,
-	}))
+	ps := newPolicyStack(t, 1, gate)
+	srv := httptest.NewServer(newIntrospectionHandler(ps.deps))
 	defer srv.Close()
 
+	cycle := 0
 	post := func(epochHeader string) int {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/policy",
@@ -608,7 +616,16 @@ func TestPolicyEndpointFencesStaleCoordinatorEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
+		if resp.StatusCode == http.StatusAccepted {
+			cycle++
+			ps.cycle(t, cycle) // window 1: the candidate promotes
+		}
 		return resp.StatusCode
+	}
+	promotions := func() int64 {
+		ps.mu.Lock()
+		defer ps.mu.Unlock()
+		return ps.canary.Status().Promotions
 	}
 
 	// A deposed coordinator's stale epoch is fenced before the payload
@@ -616,8 +633,8 @@ func TestPolicyEndpointFencesStaleCoordinatorEpochs(t *testing.T) {
 	if code := post("4"); code != http.StatusForbidden {
 		t.Fatalf("stale epoch POST = %d, want 403", code)
 	}
-	if proposals != 0 {
-		t.Fatalf("proposals = %d after fenced push, want 0", proposals)
+	if n := promotions(); n != 0 {
+		t.Fatalf("promotions = %d after fenced push, want 0", n)
 	}
 	if gate.Rejected() != 1 {
 		t.Fatalf("gate rejected = %d, want 1", gate.Rejected())
@@ -627,9 +644,6 @@ func TestPolicyEndpointFencesStaleCoordinatorEpochs(t *testing.T) {
 	if code := post("not-a-number"); code != http.StatusBadRequest {
 		t.Fatalf("bad header POST = %d, want 400", code)
 	}
-	if proposals != 0 {
-		t.Fatalf("proposals = %d after bad header, want 0", proposals)
-	}
 
 	// The current epoch and unfenced local pushes are admitted.
 	if code := post("5"); code != http.StatusAccepted {
@@ -638,8 +652,8 @@ func TestPolicyEndpointFencesStaleCoordinatorEpochs(t *testing.T) {
 	if code := post(""); code != http.StatusAccepted {
 		t.Fatalf("unfenced POST = %d, want 202", code)
 	}
-	if proposals != 2 {
-		t.Fatalf("proposals = %d, want 2", proposals)
+	if n := promotions(); n != 2 {
+		t.Fatalf("promotions = %d, want 2", n)
 	}
 
 	// A newer epoch ratchets the gate: the old leader is now fenced.
@@ -651,5 +665,47 @@ func TestPolicyEndpointFencesStaleCoordinatorEpochs(t *testing.T) {
 	}
 	if code := post("5"); code != http.StatusForbidden {
 		t.Fatalf("previously-valid epoch POST = %d, want 403 after ratchet", code)
+	}
+}
+
+// badPolicies are payloads that are not a usable policy.
+var badPolicies = []string{`{"priorities": {"count": `, `{"version": "v2"}`}
+
+// TestPolicyEndpointRejectsBadPolicy: an unparseable or priority-less
+// payload is the proposer's error (400), not a conflict, and stages
+// nothing.
+func TestPolicyEndpointRejectsBadPolicy(t *testing.T) {
+	ps := newPolicyStack(t, 2, nil)
+	srv := httptest.NewServer(newIntrospectionHandler(ps.deps))
+	defer srv.Close()
+	for _, body := range badPolicies {
+		resp, err := http.Post(srv.URL+"/policy", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /policy %q = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if st := ps.canary.Status(); st.Active {
+		t.Fatalf("a bad policy was staged: %+v", st)
+	}
+}
+
+// TestFanoutCountsBadPolicyAsError: a coordinator pushing a malformed
+// policy through the HTTP agent gets an error outcome — neither OK nor
+// a conflict, which the fan-out would settle as a healthy refusal.
+func TestFanoutCountsBadPolicyAsError(t *testing.T) {
+	ps := newPolicyStack(t, 2, nil)
+	srv := httptest.NewServer(newIntrospectionHandler(ps.deps))
+	defer srv.Close()
+	fan := fleet.NewFanout(fleet.FanoutConfig{Attempts: 1, Sleep: func(time.Duration) {}})
+	rec := fleet.AgentRecord{ID: "n1", Addr: strings.TrimPrefix(srv.URL, "http://")}
+	for _, body := range badPolicies {
+		outs := fan.Push(0, []fleet.AgentRecord{rec}, fleet.HTTPConnFactory(time.Second), "v2", []byte(body))
+		if o := outs[0]; o.OK || o.Conflict || o.Err == "" {
+			t.Errorf("push of %q: outcome %+v, want an error (not ok, not conflict)", body, o)
+		}
 	}
 }

@@ -51,6 +51,7 @@ import (
 	"syscall"
 	"time"
 
+	"lachesis/internal/agent"
 	"lachesis/internal/core"
 	"lachesis/internal/driver"
 	"lachesis/internal/fleet"
@@ -128,20 +129,6 @@ type canaryConfig struct {
 	MinThroughputFactor float64 `json:"minThroughputFactor"`
 }
 
-// policyConfig is the hot-reloadable policy payload: the "priorities"
-// section of the config file, as staged by SIGHUP and POST /policy and
-// persisted as the last-good policy. Origin and Version are optional
-// attribution set by remote proposers (the fleet coordinator sends
-// origin "fleet" and its rollout version): the version names the canary
-// candidate — so the coordinator can recognize its own in-flight
-// candidate when a retry hits 409 — and both are recorded in the audit
-// trail.
-type policyConfig struct {
-	Priorities map[string]float64 `json:"priorities"`
-	Origin     string             `json:"origin,omitempty"`
-	Version    string             `json:"version,omitempty"`
-}
-
 // buildPolicy constructs the daemon's policy from logical priorities (the
 // §5.1 high-level-policy + transformation-rule path).
 func buildPolicy(pri map[string]float64) core.Policy {
@@ -193,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 			"fleet coordinator base URL to register with and heartbeat (empty = standalone)")
 		coordinators = fs.String("coordinators", "",
 			"comma-separated additional coordinator addresses the beacon fails over to when the primary dies")
-		agentID = fs.String("agent-id", "", "agent id reported to the fleet coordinator (default: hostname)")
+		agentID   = fs.String("agent-id", "", "agent id reported to the fleet coordinator (default: hostname)")
 		advertise = fs.String("advertise", "",
 			"address the coordinator should reach this agent's policy API on (default: the -introspect address)")
 		pprofEnabled = fs.Bool("pprof", false,
@@ -461,14 +448,14 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		if raw, ok, err := store.LoadLastGoodPolicy(); err != nil {
 			fmt.Fprintln(stderr, "lachesisd: last-good policy:", err)
 		} else if ok {
-			var pc policyConfig
+			var pc agent.Policy
 			if err := json.Unmarshal(raw, &pc); err != nil || len(pc.Priorities) == 0 {
 				fmt.Fprintln(stderr, "lachesisd: last-good policy unreadable, using config file")
 			} else {
 				priorities = pc.Priorities
 				fmt.Fprintf(stderr, "lachesisd: loaded last-good policy (%d logical priorities)\n", len(priorities))
 			}
-		} else if raw, err := json.Marshal(policyConfig{Priorities: priorities}); err == nil {
+		} else if raw, err := json.Marshal(agent.Policy{Priorities: priorities}); err == nil {
 			if err := store.SaveLastGoodPolicy(raw); err != nil {
 				fmt.Fprintln(stderr, "lachesisd: seed last-good policy:", err)
 			}
@@ -528,39 +515,14 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	}
 	wireFlightHooks(flight, opGuard, wd, canary, func() time.Duration { return time.Since(start) })
 
-	// propose stages a policy payload as a canary candidate. Callers hold
-	// mu (the step loop, the SIGHUP branch and the HTTP handler all
-	// serialize through it). A payload carrying a version is named by it
-	// (the fleet coordinator's idempotent-retry handshake depends on the
-	// candidate name matching the version it pushed); the origin — local
-	// reload or fleet — is recorded in the audit trail. parent is the
-	// proposer's trace context (a fleet push's Traceparent header); zero
-	// opens a local trace for the rollout.
-	var reloads int64
-	propose := func(now time.Duration, raw []byte, parent span.Context) error {
-		var pc policyConfig
-		if err := json.Unmarshal(raw, &pc); err != nil {
-			return fmt.Errorf("parse policy: %w", err)
-		}
-		if len(pc.Priorities) == 0 {
-			return errors.New("policy has no priorities")
-		}
-		reloads++
-		name := fmt.Sprintf("reload-%d", reloads)
-		if pc.Version != "" {
-			name = pc.Version
-		}
-		if err := canary.ProposeCtx(now, name, buildPolicy(pc.Priorities), raw, parent); err != nil {
-			return err
-		}
-		origin := pc.Origin
-		if origin == "" {
-			origin = "local"
-		}
-		trail.Record(core.AuditEvent{At: now, Kind: core.AuditKindCanary,
-			Outcome: fmt.Sprintf("candidate %q staged by origin %q", name, origin)})
-		return nil
-	}
+	// Every policy proposal — SIGHUP, a local POST /policy, a fleet push —
+	// takes the one agent path: epoch gate, parse, name, canary stage,
+	// audit. Callers hold mu (the step loop, the SIGHUP branch and the
+	// HTTP handler all serialize through it).
+	ag := agent.New(agent.Config{
+		ID: id, Canary: canary, Gate: egate, Audit: trail,
+		Build: func(_ string, pri core.LogicalSchedule) core.Policy { return buildPolicy(pri) },
+	})
 
 	var rec *reconcile.Reconciler
 	if *reconcileInterval > 0 && !willReconcile {
@@ -593,11 +555,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		srv, err := startIntrospection(*introspect, introspectionDeps{
 			mu: &mu, mw: mw, trail: trail, rec: rec, state: state,
 			canary: canary, wd: wd,
-			spans: spans, flight: flight, pprofEnabled: *pprofEnabled, start: start,
-			propose: func(raw []byte, parent span.Context) error {
-				return propose(time.Since(start), raw, parent)
-			},
-			fence: egate.Admit,
+			agent: ag, spans: spans, flight: flight, pprofEnabled: *pprofEnabled, start: start,
 		})
 		if err != nil {
 			return fmt.Errorf("introspection: %w", err)
@@ -700,13 +658,13 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 			fmt.Fprintln(stderr, "lachesisd: reload: parse config:", err)
 			return
 		}
-		payload, err := json.Marshal(policyConfig{Priorities: fresh.Priorities})
+		payload, err := json.Marshal(agent.Policy{Priorities: fresh.Priorities})
 		if err != nil {
 			fmt.Fprintln(stderr, "lachesisd: reload:", err)
 			return
 		}
 		mu.Lock()
-		err = propose(time.Since(start), payload, span.Context{})
+		_, err = ag.Propose(time.Since(start), payload, span.Context{}, 0)
 		mu.Unlock()
 		if err != nil {
 			fmt.Fprintln(stderr, "lachesisd: reload:", err)

@@ -1,11 +1,12 @@
 // Package dst is a FoundationDB-style deterministic simulation harness
 // for the Lachesis control plane. It composes the pieces the hand-written
-// experiments in internal/harness exercise one scenario at a time — real
-// core.Middleware agents with local canaries and epoch gates, two
-// lachesis-fleet coordinator replicas (lease manager, registry, rollout
-// coordinator, follower, replicator), and the seeded internal/faults
-// injectors — into randomized, fully seed-reproducible full-stack
-// schedules:
+// experiments in internal/harness exercise one scenario at a time — the
+// shipped code, not copies of it: agent.Sim agents (real
+// core.Middleware, local canary, and lachesisd's POST /policy path
+// through internal/agent with its epoch gate), two fleet.Replica
+// coordinators (the state machine lachesis-fleet serves over HTTP), and
+// the seeded internal/faults injectors — into randomized, fully
+// seed-reproducible full-stack schedules:
 //
 //   - Generate derives a complete Schedule from one 64-bit seed:
 //     per-component fault plans (coordinator crash/restart points,
@@ -36,9 +37,10 @@ const SeedsEnv = "LACHESIS_DST_SEEDS"
 // Options configures a simulation run independently of the Schedule.
 type Options struct {
 	// DisableFencing injects the regression the harness must prove it
-	// can catch: agents skip their EpochGate admission check, so a
-	// deposed coordinator's stale pushes are accepted instead of being
-	// rejected with a fenced 403. On schedules that partition a live
+	// can catch: agents' proposal paths are built without their epoch
+	// gate (lachesisd's unfenced configuration), so a deposed
+	// coordinator's stale pushes are accepted instead of being rejected
+	// with a fenced 403. On schedules that partition a live
 	// leader this manufactures double pushes and last-good clobbers.
 	DisableFencing bool
 	// Spans attaches a span recorder to the coordinators and agent

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"sort"
 	"sync"
+
+	"lachesis/internal/agent"
 )
 
 // Event is one transition in a simulation run. The Log's JSONL encoding
@@ -39,10 +41,10 @@ const (
 	EvPushFail     = "push-fail"
 	EvPushFenced   = "push-fenced"
 	EvPushConflict = "push-conflict"
-	EvStaged       = "staged"
-	EvLocalPromote = "local-promote"
-	EvLocalRollbck = "local-rollback"
-	EvGateReject   = "gate-reject"
+	EvStaged       = agent.EventStaged
+	EvLocalPromote = agent.EventPromoted
+	EvLocalRollbck = agent.EventRolledBack
+	EvGateReject   = agent.EventFenced
 	EvRolloutEnd   = "rollout-end"
 	EvViolation    = "violation"
 )

@@ -74,10 +74,10 @@ func (st *invariantState) checkTick(w *world) *Violation {
 	// At most one leader per epoch: each epoch is owned by the first
 	// replica seen leading with it, forever.
 	for _, r := range w.replicas {
-		if !r.alive || !r.lm.Leading() {
+		if !r.alive || !r.rep.Leading() {
 			continue
 		}
-		e := r.lm.Info().Epoch
+		e := r.rep.Lease().Epoch
 		if owner, ok := st.epochLeader[e]; ok && owner != r.id {
 			return &Violation{Tick: w.tick, Invariant: InvOneLeaderPerEpoch,
 				Detail: fmt.Sprintf("epoch %d led by %s and %s", e, owner, r.id)}
@@ -92,7 +92,7 @@ func (st *invariantState) checkTick(w *world) *Violation {
 		if !r.alive {
 			continue
 		}
-		e := r.lm.HighWaterEpoch()
+		e := r.rep.Lease().HighWater
 		if last, ok := st.replicaEpoch[r.id]; ok && e < last {
 			return &Violation{Tick: w.tick, Invariant: InvEpochMonotonic,
 				Detail: fmt.Sprintf("replica %s fence epoch went %d -> %d", r.id, last, e)}
@@ -100,7 +100,7 @@ func (st *invariantState) checkTick(w *world) *Violation {
 		st.replicaEpoch[r.id] = e
 	}
 	for _, id := range w.order {
-		e := w.nodes[id].gateEpoch()
+		e := w.nodes[id].Gate().Epoch()
 		if last, ok := st.gateEpoch[id]; ok && e < last {
 			return &Violation{Tick: w.tick, Invariant: InvEpochMonotonic,
 				Detail: fmt.Sprintf("agent %s gate epoch went %d -> %d", id, last, e)}
@@ -110,7 +110,7 @@ func (st *invariantState) checkTick(w *world) *Violation {
 	// No double push: the candidate payload lands on each agent at most
 	// once. (Stable/rollback payloads may legitimately be re-proposed.)
 	for _, id := range w.order {
-		if c := w.nodes[id].stagedCount(w.sched.Proposal.Version, w.payload); c > 1 {
+		if c, _ := w.nodes[id].Staged(w.payload); c > 1 {
 			return &Violation{Tick: w.tick, Invariant: InvNoDoublePush,
 				Detail: fmt.Sprintf("agent %s staged %s %d times", id, w.sched.Proposal.Version, c)}
 		}
@@ -145,7 +145,7 @@ func (st *invariantState) checkEnd(w *world) *Violation {
 	// concluded.
 	if w.sched.Proposal.Adversarial {
 		for _, id := range w.order {
-			if string(w.nodes[id].lastGood()) == string(advPayload) {
+			if string(w.nodes[id].LastGood()) == string(advPayload) {
 				return &Violation{Tick: w.tick, Invariant: InvContainment,
 					Detail: fmt.Sprintf("agent %s retains the adversarial payload as last-good", id)}
 			}
@@ -160,8 +160,8 @@ func (st *invariantState) checkEnd(w *world) *Violation {
 	// trail must reproduce its kernel state byte for byte.
 	for _, id := range w.order {
 		n := w.nodes[id]
-		replayed := core.ReplayNice(n.audit.Events())
-		actual := n.osi.snapshot()
+		replayed := core.ReplayNice(n.AuditEvents())
+		actual := n.Nices()
 		if len(replayed) != len(actual) {
 			return &Violation{Tick: w.tick, Invariant: InvAuditReplay,
 				Detail: fmt.Sprintf("agent %s: %d audited threads vs %d in kernel state", id, len(replayed), len(actual))}
@@ -183,7 +183,7 @@ func (st *invariantState) checkConvergence(w *world) *Violation {
 		return &Violation{Tick: w.tick, Invariant: InvConvergence,
 			Detail: "no unique leader after quiescence"}
 	}
-	fst := leader.co.Status()
+	fst := leader.rep.Coordinator().Status()
 	if fst.Active {
 		return &Violation{Tick: w.tick, Invariant: InvConvergence,
 			Detail: "rollout still active at the tick budget"}
@@ -200,7 +200,7 @@ func (st *invariantState) checkConvergence(w *world) *Violation {
 		if !w.sched.Proposal.Adversarial {
 			// Every agent the final rollout state marks pushed (and not
 			// degraded) must have converged on the candidate.
-			state := leader.co.State()
+			state := leader.rep.Coordinator().State()
 			for _, id := range sortedIDs(state.Agents) {
 				a := state.Agents[id]
 				if a == nil || !a.Pushed || a.Degraded {
@@ -210,7 +210,7 @@ func (st *invariantState) checkConvergence(w *world) *Violation {
 				if !ok {
 					continue
 				}
-				if string(n.lastGood()) != string(w.payload) {
+				if string(n.LastGood()) != string(w.payload) {
 					return &Violation{Tick: w.tick, Invariant: InvConvergence,
 						Detail: fmt.Sprintf("agent %s pushed but last-good is not the candidate", id)}
 				}
@@ -220,7 +220,7 @@ func (st *invariantState) checkConvergence(w *world) *Violation {
 	// Desired-state: no priority inversion survives quiescence, whatever
 	// the rollout's outcome was.
 	for _, id := range w.order {
-		if inv := w.nodes[id].inverted(); inv > 0 {
+		if inv := w.nodes[id].Inverted(); inv > 0 {
 			return &Violation{Tick: w.tick, Invariant: InvConvergence,
 				Detail: fmt.Sprintf("agent %s holds %d inverted priority pairs after quiescence", id, inv)}
 		}

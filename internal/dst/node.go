@@ -1,334 +1,40 @@
 package dst
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"sync"
 	"time"
 
-	"lachesis/internal/core"
-	"lachesis/internal/faults"
-	"lachesis/internal/fleet"
-	"lachesis/internal/guard"
+	"lachesis/internal/agent"
 	"lachesis/internal/span"
 )
 
-// Node SLO baseline (the same shape the harness fleet experiments use:
-// p95 grows with the backlog the inverted-priority signature builds up).
-const (
-	nodeBaseP95  = 0.010 // seconds
-	nodeBaseTput = 1000  // tuples/s
-)
-
-// memOS records nice values in memory; the SLO model reads them back.
-type memOS struct {
-	mu    sync.Mutex
-	nices map[int]int
-}
-
-func newMemOS() *memOS { return &memOS{nices: make(map[int]int)} }
-
-func (o *memOS) SetNice(tid, nice int) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.nices[tid] = nice
-	return nil
-}
-func (o *memOS) EnsureCgroup(string) error    { return nil }
-func (o *memOS) SetShares(string, int) error  { return nil }
-func (o *memOS) MoveThread(int, string) error { return nil }
-
-func (o *memOS) nice(tid int) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.nices[tid]
-}
-
-// snapshot copies the current tid -> nice map (the audit-replay
-// invariant's ground truth).
-func (o *memOS) snapshot() map[int]int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make(map[int]int, len(o.nices))
-	for k, v := range o.nices {
-		out[k] = v
-	}
-	return out
-}
-
-// memPolicyStore is an in-memory guard.PolicyStore so the invariants can
-// read exactly what the node holds as last-good.
-type memPolicyStore struct {
-	mu   sync.Mutex
-	raw  []byte
-	have bool
-}
-
-func (s *memPolicyStore) SaveLastGoodPolicy(config []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.raw = append([]byte(nil), config...)
-	s.have = true
-	return nil
-}
-
-func (s *memPolicyStore) LoadLastGoodPolicy() ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]byte(nil), s.raw...), s.have, nil
-}
-
-// nodeDriver exposes a node's physical operators; the static policies
-// fetch no metrics.
-type nodeDriver struct {
-	entities []core.Entity
-}
-
-var _ core.Driver = (*nodeDriver)(nil)
-
-func (d *nodeDriver) Name() string            { return "node" }
-func (d *nodeDriver) Entities() []core.Entity { return d.entities }
-func (d *nodeDriver) Provides(string) bool    { return false }
-func (d *nodeDriver) Fetch(metric string, _ time.Duration) (core.EntityValues, error) {
-	return nil, &core.UnknownMetricError{Metric: metric, Driver: "node"}
-}
-
-// nodePolicy builds a named static heavy/light policy — the same
-// high-level-policy + transformation-rule path lachesisd runs.
-func nodePolicy(name string, pri core.LogicalSchedule) core.Policy {
-	return core.Transformed(&core.StaticLogicalPolicy{
-		PolicyName: name, Priorities: pri,
-	}, core.MaxPriorityRule)
-}
-
-// node is one simulated lachesisd agent under test: a real
-// core.Middleware with per-binding heavy/light operator pairs, a local
-// canary controller, an epoch gate, a fault-injected OS chain, and an
-// audited write path. It implements fleet.AgentClient, so the
-// coordinator replicas talk to it the way they would POST to a live
-// daemon.
+// node is one simulated lachesisd agent under test: the shared
+// agent.Sim — real middleware, local canary, epoch gate and POST /policy
+// path — with the schedule's binding count, local canary window and
+// OS-outage windows, logging its transitions into its own event buffer.
 type node struct {
-	id   string
-	opts Options
-
-	// mu serializes the decision cycle and the coordinator's calls,
-	// exactly like lachesisd's step/HTTP mutex.
-	mu      sync.Mutex
-	mw      *core.Middleware
-	canary  *guard.Canary
-	store   *memPolicyStore
-	osi     *memOS
-	gate    *fleet.EpochGate
-	pairs   [][2]int
-	now     time.Duration
-	backlog float64
-
-	// audit captures every attempted kernel write (the audit-replay
-	// invariant folds it against osi).
-	audit *core.MemorySink
-
-	// staged counts successful canary stagings keyed by version+payload
-	// (the double-push invariant's ledger).
-	staged map[string]int
-
-	// promotions/rollbacks mirror the canary counters so tick can log
-	// local decisions as events.
-	promotions int64
-	rollbacks  int64
-
-	// buf collects this node's events; the world drains it each tick.
+	*agent.Sim
 	buf *eventBuffer
-	// tick number for event stamps (set by the world before stepping;
-	// reads from fan-out goroutines are guarded by mu).
-	tickNo int
 }
 
-var (
-	_ fleet.AgentClient = (*node)(nil)
-	_ fleet.TracedAgent = (*node)(nil)
-	_ fleet.FencedAgent = (*node)(nil)
-)
-
-// newNode builds an agent with the schedule's binding count, local
-// canary window, and OS-outage fault windows checked against clock.
+// newNode builds an agent. Options.DisableFencing is the injected
+// regression: the agent's proposal path is built without its epoch
+// gate, so a deposed coordinator's stale pushes land as if current.
 func newNode(id string, s Schedule, af AgentFaults, clock func() time.Duration, opts Options, spans *span.Recorder) (*node, error) {
-	n := &node{
-		id: id, opts: opts, osi: newMemOS(), store: &memPolicyStore{},
-		audit: &core.MemorySink{}, staged: map[string]int{}, buf: &eventBuffer{},
+	n := &node{buf: &eventBuffer{}}
+	sim, err := agent.NewSim(agent.SimConfig{
+		ID: id, Bindings: s.Bindings, Window: s.LocalWindow,
+		Unfenced:  opts.DisableFencing,
+		OSOutages: faultWindows(af.OSOutages), Clock: clock,
+		Spans: spans,
+		// Virtual time advances one second per tick, so the agent's
+		// clock names the tick.
+		Events: func(now time.Duration, kind, detail string) {
+			n.buf.add(int(now/time.Second), id, kind, detail)
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	n.gate, _ = fleet.NewEpochGate(id, nil)
-	n.mw = core.NewMiddleware(nil)
-	n.canary = guard.NewCanary(guard.Config{Fraction: 0.5, Window: s.LocalWindow})
-	n.canary.SetSampler(func([]string) guard.SLOSample { return n.sloLocked() })
-	n.canary.SetPolicyStore(n.store)
-	if spans != nil {
-		n.canary.SetSpans(spans)
-	}
-
-	trail := core.NewAuditTrail(64, n.audit)
-	osChain := core.AuditOS(faults.WrapOS(n.osi, faults.OSPlan{
-		Outages: faultWindows(af.OSOutages),
-		Clock:   clock,
-	}), trail)
-	tr := core.NewNiceTranslator(osChain)
-
-	drv := &nodeDriver{}
-	stable := core.LogicalSchedule{"heavy": 10, "light": 1}
-	for b := 0; b < s.Bindings; b++ {
-		q := fmt.Sprintf("q%03d", b)
-		hTid, lTid := 2*b+1, 2*b+2
-		drv.entities = append(drv.entities,
-			core.Entity{Name: q + ".heavy", Driver: "node", Query: q, Thread: hTid, Logical: []string{"heavy"}},
-			core.Entity{Name: q + ".light", Driver: "node", Query: q, Thread: lTid, Logical: []string{"light"}},
-		)
-		n.pairs = append(n.pairs, [2]int{hTid, lTid})
-		slot := n.canary.Slot(nodePolicy(fmt.Sprintf("stable@%s/%s", id, q), stable))
-		if err := n.mw.Bind(core.Binding{
-			Policy: slot, Translator: tr,
-			Drivers: []core.Driver{drv}, Queries: []string{q},
-			Period: time.Second,
-		}); err != nil {
-			return nil, fmt.Errorf("%s: bind %s: %w", id, q, err)
-		}
-	}
+	n.Sim = sim
 	return n, nil
 }
-
-// sloLocked is the node-wide SLO sample (caller holds n.mu). Canary and
-// control slots share it, so the LOCAL canary cannot convict a
-// node-wide degradation — catching that is the fleet coordinator's job.
-func (n *node) sloLocked() guard.SLOSample {
-	f := 1 + n.backlog
-	return guard.SLOSample{LatencyP95: nodeBaseP95 * f, Throughput: nodeBaseTput / f, OK: true}
-}
-
-// tick runs one decision cycle and logs local canary decisions.
-func (n *node) tick(tickNo int, now time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.tickNo = tickNo
-	n.now = now
-	_, _ = n.mw.Step(now) // transient OS faults surface as step errors; the next cycle retries
-	inv := n.invertedLocked()
-	if inv > 0 {
-		n.backlog += float64(inv) / float64(len(n.pairs))
-	} else if n.backlog > 0 {
-		if n.backlog--; n.backlog < 0 {
-			n.backlog = 0
-		}
-	}
-	n.canary.Tick(now)
-	st := n.canary.Status()
-	if st.Promotions > n.promotions {
-		n.promotions = st.Promotions
-		n.buf.add(tickNo, n.id, EvLocalPromote, st.LastReason)
-	}
-	if st.Rollbacks > n.rollbacks {
-		n.rollbacks = st.Rollbacks
-		n.buf.add(tickNo, n.id, EvLocalRollbck, st.LastReason)
-	}
-}
-
-func (n *node) invertedLocked() int {
-	inv := 0
-	for _, p := range n.pairs {
-		if n.osi.nice(p[0]) > n.osi.nice(p[1]) {
-			inv++
-		}
-	}
-	return inv
-}
-
-// Propose implements fleet.AgentClient (the agent-side POST /policy).
-func (n *node) Propose(payload []byte) (guard.Status, error) {
-	return n.ProposeTraced(payload, "")
-}
-
-// ProposeTraced implements fleet.TracedAgent.
-func (n *node) ProposeTraced(payload []byte, traceparent string) (guard.Status, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var pc struct {
-		Priorities map[string]float64 `json:"priorities"`
-		Version    string             `json:"version"`
-	}
-	if err := json.Unmarshal(payload, &pc); err != nil {
-		return guard.Status{}, err
-	}
-	if len(pc.Priorities) == 0 {
-		return guard.Status{}, errors.New("policy has no priorities")
-	}
-	name := pc.Version
-	if name == "" {
-		name = fmt.Sprintf("reload-%d", len(n.staged)+1)
-	}
-	cand := nodePolicy(name, core.LogicalSchedule(pc.Priorities))
-	parent, _ := span.ParseTraceparent(traceparent)
-	if err := n.canary.ProposeCtx(n.now, name, cand, payload, parent); err != nil {
-		return guard.Status{}, &fleet.ConflictError{Agent: n.id, Body: err.Error()}
-	}
-	n.staged[name+"|"+string(payload)]++
-	n.buf.add(n.tickNo, n.id, EvStaged, name)
-	return n.canary.Status(), nil
-}
-
-// ProposeFenced implements fleet.FencedAgent: the epoch gate lachesisd
-// runs on POST /policy's X-Lachesis-Epoch header. Options.DisableFencing
-// is the injected regression: the admission check is skipped, so a
-// deposed coordinator's stale pushes land as if they were current.
-func (n *node) ProposeFenced(payload []byte, traceparent string, epoch int64) (guard.Status, error) {
-	if !n.opts.DisableFencing {
-		if err := n.gate.Admit(epoch); err != nil {
-			var fe *fleet.FencedError
-			if errors.As(err, &fe) {
-				n.mu.Lock()
-				n.buf.add(n.tickNo, n.id, EvGateReject, fmt.Sprintf("push epoch %d < observed %d", fe.Got, fe.Have))
-				n.mu.Unlock()
-			}
-			return guard.Status{}, err
-		}
-	} else {
-		n.gate.Observe(epoch) // ratchet still tracks, only enforcement is off
-	}
-	return n.ProposeTraced(payload, traceparent)
-}
-
-// Status implements fleet.AgentClient.
-func (n *node) Status() (guard.Status, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.canary.Status(), nil
-}
-
-// SLO implements fleet.AgentClient (the coordinator's /metrics scrape).
-func (n *node) SLO() (guard.SLOSample, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sloLocked(), nil
-}
-
-// stagedCount returns how many times the exact version+payload pair was
-// staged on this node.
-func (n *node) stagedCount(version string, payload []byte) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.staged[version+"|"+string(payload)]
-}
-
-// lastGood returns the node's persisted last-good payload (nil if none).
-func (n *node) lastGood() []byte {
-	raw, ok, _ := n.store.LoadLastGoodPolicy()
-	if !ok {
-		return nil
-	}
-	return raw
-}
-
-func (n *node) inverted() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.invertedLocked()
-}
-
-func (n *node) gateEpoch() int64 { return n.gate.Epoch() }

@@ -23,7 +23,7 @@ type agentConn struct {
 	agent   string
 	inner   *faults.Agent
 	buf     *eventBuffer
-	// tickNo is written by the owning replica before co.Tick spawns the
+	// tickNo is written by the owning replica before its tick spawns the
 	// fan-out goroutines (happens-before via goroutine start).
 	tickNo int
 }
@@ -73,37 +73,31 @@ func (c *agentConn) ProposeFenced(payload []byte, traceparent string, epoch int6
 func (c *agentConn) Status() (guard.Status, error) { return c.inner.Status() }
 func (c *agentConn) SLO() (guard.SLOSample, error) { return c.inner.SLO() }
 
-// replica is one in-process lachesis-fleet coordinator under test: the
-// daemon's full wiring (lease manager, registry, rollout coordinator,
-// follower, replicator) over a MemFS-backed fleet.Store that survives
-// crashes, ticked on a per-replica drifted clock.
+// replica is one coordinator replica under test: a fleet.Replica — the
+// lachesis-fleet daemon's own state machine — over a MemFS-backed store
+// that survives crashes, ticked on a per-replica drifted clock. A crash
+// drops the replica and everything unsynced; a restart builds a fresh
+// standby over the same store.
 type replica struct {
 	id string
 	w  *world
 	rf ReplicaFaults
 
 	fs    *reconcile.MemFS
-	store *fleet.Store
-	lm    *fleet.LeaseManager
-	reg   *fleet.Registry
-	co    *fleet.Coordinator
-	fol   *fleet.Follower
-	repl  *fleet.Replicator
+	rep   *fleet.Replica
 	conns map[string]*agentConn
 	spans *span.Recorder
+	// peerID/peer is this replica's fault-wrapped view of the other one,
+	// re-added to every incarnation.
+	peerID string
+	peer   fleet.PeerClient
 
 	// alive=false is a crashed replica: no ticks, peer calls fail.
 	alive bool
+	// failovers counts standby promotions across incarnations.
+	failovers int
 
-	lastGood       []byte
-	pending        []byte
-	promotionsSeen int64
-	deposSeen      int64
-	failovers      int
-	prevActive     bool
-
-	buf    *eventBuffer
-	tickNo int
+	buf *eventBuffer
 }
 
 // local maps global virtual time onto this replica's drifted clock. All
@@ -113,94 +107,74 @@ func (r *replica) local(now time.Duration) time.Duration {
 	return time.Duration(float64(now) * r.rf.DriftRate)
 }
 
-func (r *replica) leaseConfig() fleet.LeaseConfig {
-	return fleet.LeaseConfig{ID: r.id, TTL: time.Duration(r.w.sched.TTLTicks) * time.Second}
-}
-
-func (r *replica) registryConfig() fleet.RegistryConfig {
-	return fleet.RegistryConfig{HeartbeatInterval: time.Second, SuspectAfter: 2, EvictAfter: 5}
-}
-
-func (r *replica) rolloutConfig() fleet.RolloutConfig {
+// build constructs an incarnation over the persistent store at local
+// time localNow.
+func (r *replica) build(localNow time.Duration, standby bool) (*fleet.Replica, error) {
 	s := r.w.sched
-	return fleet.RolloutConfig{
-		CanaryFraction: 0.25, Waves: s.Waves,
-		WindowTicks: s.WindowTicks, PushTicks: s.PushTicks,
-		Fanout: fleet.FanoutConfig{
-			Attempts: 2, BreakerThreshold: 100, BreakerCooldown: 30 * time.Second,
-			Sleep: func(time.Duration) {},
+	return fleet.NewReplica(localNow, fleet.ReplicaConfig{
+		ID:       r.id,
+		LeaseTTL: time.Duration(s.TTLTicks) * time.Second,
+		Registry: fleet.RegistryConfig{HeartbeatInterval: time.Second, SuspectAfter: 2, EvictAfter: 5},
+		Rollout: fleet.RolloutConfig{
+			CanaryFraction: 0.25, Waves: s.Waves,
+			WindowTicks: s.WindowTicks, PushTicks: s.PushTicks,
+			Fanout: fleet.FanoutConfig{
+				Attempts: 2, BreakerThreshold: 100, BreakerCooldown: 30 * time.Second,
+				Sleep: func(time.Duration) {},
+			},
 		},
-	}
-}
-
-// wire builds fresh daemon components over the persistent store. Used at
-// construction and again on warm restart after a crash.
-func (r *replica) wire(localNow time.Duration, restore bool) {
-	r.lm = fleet.NewLeaseManager(r.leaseConfig())
-	r.lm.SetStore(r.store)
-	r.reg = fleet.NewRegistry(r.registryConfig())
-	r.reg.SetStore(r.store)
-	r.co = fleet.NewCoordinator(r.rolloutConfig(), r.reg, func(a fleet.AgentRecord) fleet.AgentClient {
-		if c, ok := r.conns[a.ID]; ok {
-			return c
-		}
-		return nil
+		Conns: func(a fleet.AgentRecord) fleet.AgentClient {
+			if c, ok := r.conns[a.ID]; ok {
+				return c
+			}
+			return nil
+		},
+		Store:    fleet.NewStore(r.fs, nil),
+		Standby:  standby,
+		LastGood: stablePayload,
+		Spans:    r.spans,
 	})
-	r.co.SetStore(r.store)
-	r.co.SetEpoch(func() int64 { return r.lm.FenceEpoch() })
-	r.co.SetFencedHook(func(now time.Duration, agent string) { r.lm.Deposed(now, agent) })
-	if r.spans != nil {
-		r.co.SetSpans(r.spans)
-	}
-	r.fol = fleet.NewFollower(r.store)
-	if restore {
-		_ = r.lm.Restore(localNow)
-		_ = r.reg.Restore(localNow)
-		if resumed, err := r.co.Resume(localNow); err == nil && resumed {
-			r.pending = r.co.State().Payload
-		}
-	}
-	st := r.co.Status()
-	r.promotionsSeen = st.Promotions
-	r.prevActive = st.Active
-	r.deposSeen = r.lm.Depositions()
 }
 
 // newReplica builds replica idx over the world's agent fleet. Replica 0
 // starts as leader.
-func newReplica(w *world, idx int, spans *span.Recorder) *replica {
+func newReplica(w *world, idx int, spans *span.Recorder) (*replica, error) {
 	r := &replica{
 		id: fmt.Sprintf("r%d", idx), w: w, rf: w.sched.Replicas[idx],
-		alive: true, lastGood: stablePayload, spans: spans,
+		alive: true, spans: spans, fs: reconcile.NewMemFS(),
 		conns: map[string]*agentConn{}, buf: &eventBuffer{},
 	}
-	r.fs = reconcile.NewMemFS()
-	r.store = fleet.NewStore(r.fs, nil)
 	for ai, id := range w.order {
 		parts := append(append([]Window(nil), r.rf.AgentPartitions...), w.sched.AgentFaults[ai].Partitions...)
 		r.conns[id] = &agentConn{
 			replica: r.id, agent: id, buf: &eventBuffer{},
-			inner: faults.WrapAgent(w.nodes[id], faults.AgentPlan{
+			inner: faults.WrapAgent(w.nodes[id].Sim, faults.AgentPlan{
 				Partitions: faultWindows(parts),
 				Clock:      w.clock,
 			}),
 		}
 	}
-	r.repl = fleet.NewReplicator()
-	r.wire(0, false)
-	if idx == 0 {
-		info := r.lm.Acquire(0)
-		r.buf.add(0, r.id, EvAcquire, fmt.Sprintf("epoch %d", info.Epoch))
+	rep, err := r.build(0, idx != 0)
+	if err != nil {
+		return nil, err
 	}
-	return r
+	r.rep = rep
+	if idx == 0 {
+		r.buf.add(0, r.id, EvAcquire, fmt.Sprintf("epoch %d", rep.Lease().Epoch))
+	}
+	return r, nil
+}
+
+// setPeer installs this replica's view of the other one.
+func (r *replica) setPeer(id string, pc fleet.PeerClient) {
+	r.peerID, r.peer = id, pc
+	r.rep.AddPeer(id, pc)
 }
 
 // crash takes the replica dark. Everything in memory is lost; the store
 // (lease epochs seen, registry, rollout) survives for the warm restart.
 func (r *replica) crash(tickNo int) {
 	r.alive = false
-	r.pending = nil
-	r.lastGood = stablePayload
 	// Power-loss semantics: only fsynced bytes survive. Both persistent
 	// stores follow write→fsync→rename, so a crash here must lose
 	// nothing — if one ever skips the fsync, the restored replica
@@ -209,16 +183,22 @@ func (r *replica) crash(tickNo int) {
 	r.buf.add(tickNo, r.id, EvCrash, "")
 }
 
-// restart is the warm restart: fresh components restored from the
+// restart is the warm restart: a fresh standby restored from the
 // persistent store, staleness clocks re-anchored at the local now.
 func (r *replica) restart(tickNo int, now time.Duration) {
-	r.wire(r.local(now), true)
+	rep, err := r.build(r.local(now), true)
+	if err != nil {
+		r.buf.add(tickNo, r.id, EvRestart, "failed: "+err.Error())
+		return
+	}
+	r.rep = rep
+	r.rep.AddPeer(r.peerID, r.peer)
 	r.alive = true
 	r.buf.add(tickNo, r.id, EvRestart, "")
 }
 
-// reachableFrom reports whether this replica can currently talk to the
-// given agent (the heartbeat routing check — the same windows its
+// agentReachable reports whether this replica can currently talk to
+// the given agent (the heartbeat routing check — the same windows its
 // push conns enforce).
 func (r *replica) agentReachable(tick, agentIdx int) bool {
 	for _, w := range r.rf.AgentPartitions {
@@ -234,80 +214,30 @@ func (r *replica) agentReachable(tick, agentIdx int) bool {
 	return true
 }
 
-// promote is the standby takeover: bumped-epoch lease, registry leases
-// re-anchored, rollout resumed from the last applied checkpoint.
-func (r *replica) promote(tickNo int, localNow time.Duration) {
-	info := r.lm.Acquire(localNow)
-	r.failovers++
-	r.buf.add(tickNo, r.id, EvAcquire, fmt.Sprintf("epoch %d", info.Epoch))
-	if cp, ok := r.fol.Last(); ok {
-		r.reg.Adopt(localNow, cp.Registry)
-		if r.co.Adopt(localNow, cp.Rollout) {
-			r.pending = cp.Rollout.Payload
-		}
-		if cp.LastGood != nil {
-			r.lastGood = cp.LastGood
-		}
-		r.promotionsSeen = cp.Rollout.Promotions
-		r.prevActive = r.co.Status().Active
-	}
-}
-
-// tick is the daemon tick: a standby observes its peer's lease and
-// promotes on expiry; a leader renews, sweeps, advances the rollout and
-// publishes a checkpoint — unless a fenced push deposed it mid-tick.
+// tick runs the replica's tick and logs what it reports.
 func (r *replica) tick(tickNo int, now time.Duration) {
 	if !r.alive {
 		return
 	}
-	r.tickNo = tickNo
 	for _, c := range r.conns {
 		c.tickNo = tickNo
 	}
-	localNow := r.local(now)
-	if !r.lm.Leading() {
-		for _, name := range r.repl.Peers() {
-			if pc := r.repl.Peer(name); pc != nil {
-				if info, err := pc.Lease(); err == nil {
-					r.lm.Observe(info, localNow)
-				}
-			}
-		}
-		if r.lm.Expired(localNow) {
-			r.promote(tickNo, localNow)
-		}
-		return
+	rep := r.rep.Tick(r.local(now))
+	if rep.Promoted {
+		r.failovers++
+		r.buf.add(tickNo, r.id, EvAcquire, fmt.Sprintf("epoch %d", rep.Epoch))
 	}
-	r.lm.Renew(localNow)
-	suspected, evicted := r.reg.Sweep(localNow)
-	for _, id := range suspected {
+	for _, id := range rep.Suspected {
 		r.buf.add(tickNo, r.id, EvSuspect, id)
 	}
-	for _, id := range evicted {
+	for _, id := range rep.Evicted {
 		r.buf.add(tickNo, r.id, EvEvict, id)
 	}
-	r.co.Tick(localNow)
-	if d := r.lm.Depositions(); d > r.deposSeen {
-		r.deposSeen = d
+	if rep.Deposed {
 		r.buf.add(tickNo, r.id, EvDepose, "fenced push feedback")
 	}
-	st := r.co.Status()
-	if st.Promotions > r.promotionsSeen && r.pending != nil {
-		r.promotionsSeen = st.Promotions
-		r.lastGood = r.pending
-		r.pending = nil
-	}
-	if r.prevActive && !st.Active {
-		r.buf.add(tickNo, r.id, EvRolloutEnd, st.LastDecision+": "+st.LastReason)
-	}
-	r.prevActive = st.Active
-	if r.lm.Leading() {
-		r.repl.Publish(localNow, fleet.Checkpoint{
-			Lease:    r.lm.Info(),
-			Registry: r.reg.Agents(),
-			Rollout:  r.co.State(),
-			LastGood: r.lastGood,
-		})
+	if rep.Ended {
+		r.buf.add(tickNo, r.id, EvRolloutEnd, rep.Decision+": "+rep.Reason)
 	}
 }
 
@@ -324,9 +254,8 @@ func wrapPeerPlan(inner fleet.PeerClient, partitionUnion []Window, rf ReplicaFau
 }
 
 // simPeer is one replica's in-process view of the other: the PeerClient
-// the HTTP layer would provide, mirroring the daemon's GET /lease and
-// POST /replicate handlers (including the fenced replication check and
-// the split-brain healing Observe).
+// the HTTP layer provides in lachesis-fleet, over whichever incarnation
+// of the replica is current.
 type simPeer struct {
 	w  *world
 	to *replica
@@ -338,25 +267,12 @@ func (p *simPeer) Lease() (fleet.LeaseInfo, error) {
 	if !p.to.alive {
 		return fleet.LeaseInfo{}, transientf("peer %s down", p.to.id)
 	}
-	return p.to.lm.Info(), nil
+	return p.to.rep.Lease().LeaseInfo, nil
 }
 
 func (p *simPeer) Replicate(cp fleet.Checkpoint) error {
 	if !p.to.alive {
 		return transientf("peer %s down", p.to.id)
 	}
-	localNow := p.to.local(p.w.now)
-	p.to.lm.Observe(cp.Lease, localNow)
-	if p.to.lm.Leading() {
-		// Still leading after observing the sender's lease: the sender is
-		// the stale one. Fence it (the daemon's 403).
-		return &fleet.FencedError{Agent: p.to.id, Have: p.to.lm.Info().Epoch, Got: cp.Lease.Epoch}
-	}
-	if err := p.to.fol.Apply(cp); err != nil {
-		return err
-	}
-	if cp.LastGood != nil {
-		p.to.lastGood = cp.LastGood
-	}
-	return nil
+	return p.to.rep.ApplyCheckpoint(p.to.local(p.w.now), cp)
 }

@@ -87,10 +87,10 @@ func RunSchedule(s Schedule, opts Options) (*Result, error) {
 		res.Failovers += r.failovers
 	}
 	for _, id := range w.order {
-		res.GateRejects += w.nodes[id].gate.Rejected()
+		res.GateRejects += w.nodes[id].Gate().Rejected()
 	}
 	if l := w.leader(); l != nil {
-		res.Decision = l.co.Status().LastDecision
+		res.Decision = l.rep.Coordinator().Status().LastDecision
 	}
 	return res, nil
 }

@@ -71,15 +71,19 @@ func newWorld(s Schedule, opts Options) (*world, error) {
 	if len(s.Replicas) != 2 {
 		return nil, fmt.Errorf("schedule must describe exactly 2 replicas, got %d", len(s.Replicas))
 	}
-	r0 := newReplica(w, 0, w.spans)
-	r1 := newReplica(w, 1, w.spans)
-	w.replicas = []*replica{r0, r1}
-	w.wirePeers()
-	for _, id := range w.order {
-		if _, err := r0.reg.Register(0, id, id); err != nil {
+	for i := range s.Replicas {
+		r, err := newReplica(w, i, w.spans)
+		if err != nil {
 			return nil, err
 		}
-		w.hbTarget[id] = r0.id
+		w.replicas = append(w.replicas, r)
+	}
+	w.wirePeers()
+	for _, id := range w.order {
+		if _, err := w.replicas[0].rep.Registry().Register(0, id, id); err != nil {
+			return nil, err
+		}
+		w.hbTarget[id] = w.replicas[0].id
 	}
 	return w, nil
 }
@@ -93,7 +97,7 @@ func (w *world) wirePeers() {
 		w.sched.Replicas[1].PeerPartitions...)
 	for i, r := range w.replicas {
 		other := w.replicas[1-i]
-		r.repl.AddPeer(other.id, wrapPeerPlan(&simPeer{w: w, to: other}, union, w.sched.Replicas[i], w.clock))
+		r.setPeer(other.id, wrapPeerPlan(&simPeer{w: w, to: other}, union, w.sched.Replicas[i], w.clock))
 	}
 }
 
@@ -118,7 +122,7 @@ func (w *world) step() {
 	}
 
 	for _, id := range w.order {
-		w.nodes[id].tick(tick, w.now)
+		w.nodes[id].Tick(w.now)
 	}
 
 	// Heartbeats: each agent beacons the first reachable LEADING replica
@@ -128,14 +132,15 @@ func (w *world) step() {
 	for ai, id := range w.order {
 		target := ""
 		for _, r := range w.replicas {
-			if !r.alive || !r.lm.Leading() || !r.agentReachable(tick, ai) {
+			if !r.alive || !r.rep.Leading() || !r.agentReachable(tick, ai) {
 				continue
 			}
 			localNow := r.local(w.now)
-			if err := r.reg.Heartbeat(localNow, id); err != nil {
-				_, _ = r.reg.Register(localNow, id, id)
+			reg := r.rep.Registry()
+			if err := reg.Heartbeat(localNow, id); err != nil {
+				_, _ = reg.Register(localNow, id, id)
 			}
-			w.nodes[id].gate.Observe(r.lm.FenceEpoch())
+			w.nodes[id].Gate().Observe(r.rep.Lease().Epoch)
 			target = r.id
 			break
 		}
@@ -153,12 +158,10 @@ func (w *world) step() {
 	// while no leader is reachable or the registry has no active agents.
 	if !w.proposed && tick >= w.sched.Proposal.Tick {
 		for _, r := range w.replicas {
-			if !r.alive || !r.lm.Leading() {
+			if !r.alive || !r.rep.Leading() {
 				continue
 			}
-			localNow := r.local(w.now)
-			if err := r.co.Propose(localNow, w.sched.Proposal.Version, w.payload, stablePayload); err == nil {
-				r.pending = w.payload
+			if err := r.rep.Propose(r.local(w.now), w.sched.Proposal.Version, w.payload); err == nil {
 				w.proposed = true
 				kind := "good"
 				if w.sched.Proposal.Adversarial {
@@ -203,7 +206,7 @@ func (w *world) quiescent() bool {
 				return false
 			}
 		}
-		if r.alive && r.co.Status().Active {
+		if r.alive && r.rep.Coordinator().Status().Active {
 			return false
 		}
 	}
@@ -220,7 +223,7 @@ func (w *world) quiescent() bool {
 func (w *world) leader() *replica {
 	var out *replica
 	for _, r := range w.replicas {
-		if r.alive && r.lm.Leading() {
+		if r.alive && r.rep.Leading() {
 			if out != nil {
 				return nil
 			}

@@ -141,7 +141,7 @@ func (f *Fanout) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // SetSpans attaches a trace recorder: each per-agent push then emits a
-// "push" span (child of the rollout context handed to PushCtx), whose
+// "push" span (child of the rollout context handed to PushEpoch), whose
 // context crosses the HTTP hop as a Traceparent header for clients
 // implementing TracedAgent. nil disables.
 func (f *Fanout) SetSpans(rec *span.Recorder) {
@@ -177,18 +177,13 @@ func (f *Fanout) Push(now time.Duration, agents []AgentRecord, conns ConnFactory
 	return f.PushEpoch(now, agents, conns, version, payload, span.Context{}, 0)
 }
 
-// PushCtx is Push under a rollout trace context: each agent's push
-// becomes a "push" span child of parent, and its context rides the hop
-// to TracedAgent clients as a traceparent. A zero parent (or no
-// recorder) behaves exactly like Push.
-func (f *Fanout) PushCtx(now time.Duration, agents []AgentRecord, conns ConnFactory, version string, payload []byte, parent span.Context) []PushOutcome {
-	return f.PushEpoch(now, agents, conns, version, payload, parent, 0)
-}
-
-// PushEpoch is PushCtx under a fencing epoch: clients implementing
+// PushEpoch is Push under a rollout trace context and a fencing epoch.
+// Each agent's push becomes a "push" span child of parent, and its
+// context rides the hop to TracedAgent clients as a traceparent (a zero
+// parent, or no recorder, traces nothing). Clients implementing
 // FencedAgent carry the epoch across the hop (the HTTPAgent as the
 // EpochHeader request header) so agents can reject a deposed leader's
-// stale pushes. Epoch 0 behaves exactly like PushCtx (unfenced).
+// stale pushes; epoch 0 pushes unfenced.
 func (f *Fanout) PushEpoch(now time.Duration, agents []AgentRecord, conns ConnFactory, version string, payload []byte, parent span.Context, epoch int64) []PushOutcome {
 	out := make([]PushOutcome, len(agents))
 	sem := make(chan struct{}, f.cfg.Parallel)

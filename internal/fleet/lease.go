@@ -130,8 +130,7 @@ type LeaseManager struct {
 	store   *Store
 	trail   *core.AuditTrail
 
-	acquisitions int64
-	depositions  int64
+	depositions int64
 
 	gLeader *telemetry.Gauge
 	gEpoch  *telemetry.Gauge
@@ -147,13 +146,6 @@ func NewLeaseManager(cfg LeaseConfig) *LeaseManager {
 	}
 	return &LeaseManager{cfg: cfg}
 }
-
-// TTL returns the effective lease TTL.
-func (m *LeaseManager) TTL() time.Duration { return m.cfg.TTL }
-
-// Holder returns this coordinator's HA identity (the holder name it
-// writes into leases it acquires).
-func (m *LeaseManager) Holder() string { return m.cfg.ID }
 
 // SetStore attaches crash-safe lease persistence: acquisitions and
 // renewals are saved, and Restore loads the file so epochs stay
@@ -217,7 +209,6 @@ func (m *LeaseManager) Acquire(now time.Duration) LeaseInfo {
 	m.leading = true
 	m.seen = m.cur
 	m.seenAt = now
-	m.acquisitions++
 	m.persistLocked()
 	m.record(now, fmt.Sprintf("lease acquired by %s (epoch %d, ttl %v)", m.cfg.ID, m.cur.Epoch, m.cfg.TTL))
 	m.exportLocked()
@@ -328,6 +319,40 @@ func (m *LeaseManager) Leading() bool {
 	return m.leading
 }
 
+// LeaseView is one coordinator's lease state at a glance — the JSON
+// shape of GET /lease. The embedded lease marshals flat, so a peer's
+// HTTPPeer decodes it straight into a LeaseInfo.
+type LeaseView struct {
+	// LeaseInfo is our lease while leading, else the newest observed.
+	LeaseInfo
+	// Leading reports whether this coordinator holds the lease.
+	Leading bool `json:"leading"`
+	// ID is this coordinator's HA identity.
+	ID string `json:"id"`
+	// HighWater is the newest epoch ever held or observed. Unlike the
+	// lease epoch — which a deposed leader's view moves off its own —
+	// it only ratchets: within a process because observations fold in
+	// through newer() and acquisitions advance past it, and across a
+	// restart because every ratchet is persisted and re-anchors the next
+	// acquisition. Monotonicity checkers (the dst harness's
+	// epoch-monotonic invariant) watch this.
+	HighWater int64 `json:"high_water_epoch"`
+}
+
+// View snapshots the lease state under one lock.
+func (m *LeaseManager) View() LeaseView {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v := LeaseView{LeaseInfo: m.seen, Leading: m.leading, ID: m.cfg.ID, HighWater: m.seen.Epoch}
+	if m.leading {
+		v.LeaseInfo = m.cur
+	}
+	if m.cur.Epoch > v.HighWater {
+		v.HighWater = m.cur.Epoch
+	}
+	return v
+}
+
 // Info returns the lease to publish on GET /lease: our own while
 // leading, else the newest observed one.
 func (m *LeaseManager) Info() LeaseInfo {
@@ -349,31 +374,6 @@ func (m *LeaseManager) FenceEpoch() int64 {
 		return m.cur.Epoch
 	}
 	return 0
-}
-
-// HighWaterEpoch returns the newest epoch this manager has ever held
-// or observed. Unlike FenceEpoch — which deliberately reads 0 on a
-// standby, because a non-leader must never stamp a push — this
-// quantity only ratchets: within a process because observations fold
-// in through newer() and acquisitions advance past it, and across a
-// restart because every ratchet is persisted and re-anchors the next
-// acquisition. Monotonicity checkers (the dst harness's
-// epoch-monotonic invariant) should watch this, not FenceEpoch, or a
-// legitimate deposition looks like an epoch decrease.
-func (m *LeaseManager) HighWaterEpoch() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cur.Epoch > m.seen.Epoch {
-		return m.cur.Epoch
-	}
-	return m.seen.Epoch
-}
-
-// Acquisitions returns how often this manager took the lease.
-func (m *LeaseManager) Acquisitions() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.acquisitions
 }
 
 // Depositions returns how often this manager was deposed while leading

@@ -18,9 +18,9 @@ import (
 
 // Checkpoint is one replication unit: the leader's full control-plane
 // state, streamed to standbys after every tick. A standby that promotes
-// resumes from its last applied checkpoint — registry, in-flight
-// rollout (with Pushed flags, so no agent is pushed twice), and the
-// fleet-level last-good payload. Seq orders checkpoints within an
+// resumes from its last applied checkpoint — registry and rollout state
+// (with Pushed flags, so no agent is pushed twice, and the fleet-level
+// last-good payload). Seq orders checkpoints within an
 // epoch; the lease inside carries the epoch and doubles as the
 // standby's liveness observation of the leader.
 type Checkpoint struct {
@@ -31,10 +31,9 @@ type Checkpoint struct {
 	Lease LeaseInfo `json:"lease"`
 	// Registry is the full agent registry.
 	Registry []AgentRecord `json:"registry"`
-	// Rollout is the rollout state machine, including mid-wave state.
+	// Rollout is the rollout state machine, including mid-wave state and
+	// the fleet last-good.
 	Rollout RolloutState `json:"rollout"`
-	// LastGood is the fleet-level last-good policy payload.
-	LastGood []byte `json:"last_good,omitempty"`
 }
 
 // PeerClient is one coordinator's view of another coordinator: the two

@@ -126,6 +126,13 @@ type RolloutState struct {
 	LastReason   string `json:"last_reason,omitempty"`
 	Promotions   int64  `json:"promotions"`
 	Rollbacks    int64  `json:"rollbacks"`
+
+	// LastGood is the fleet-level last-good payload: the candidate of the
+	// most recent promotion (or the boot policy seeded through
+	// SeedLastGood). It outlives the rollout that set it and is the
+	// rollback target of the next Propose, so it is persisted and
+	// replicated with the rest of the state machine.
+	LastGood []byte `json:"last_good,omitempty"`
 }
 
 // clone deep-copies the state so replication checkpoints and Status
@@ -137,6 +144,9 @@ func (st RolloutState) clone() RolloutState {
 	}
 	if st.StablePayload != nil {
 		out.StablePayload = append([]byte(nil), st.StablePayload...)
+	}
+	if st.LastGood != nil {
+		out.LastGood = append([]byte(nil), st.LastGood...)
 	}
 	if st.Cohorts != nil {
 		out.Cohorts = make([][]string, len(st.Cohorts))
@@ -325,7 +335,11 @@ func (c *Coordinator) State() RolloutState {
 func (c *Coordinator) Adopt(now time.Duration, st RolloutState) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	lastGood := c.st.LastGood
 	c.st = st.clone()
+	if c.st.LastGood == nil {
+		c.st.LastGood = lastGood
+	}
 	if c.gPhase != nil {
 		c.gPhase.Set(phaseGauge(c.st.Phase))
 	}
@@ -337,11 +351,34 @@ func (c *Coordinator) Adopt(now time.Duration, st RolloutState) bool {
 	return c.st.Active
 }
 
+// SeedLastGood installs the fleet last-good when the state machine
+// records none yet — the agents' boot policy, or a last-good kept
+// outside the rollout state by an older state directory. A recorded
+// last-good always wins.
+func (c *Coordinator) SeedLastGood(payload []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.st.LastGood == nil && payload != nil {
+		c.st.LastGood = append([]byte(nil), payload...)
+	}
+}
+
+// LastGood returns a copy of the fleet last-good payload (nil if none).
+func (c *Coordinator) LastGood() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.st.LastGood == nil {
+		return nil
+	}
+	return append([]byte(nil), c.st.LastGood...)
+}
+
 // Propose stages a versioned candidate payload on the fleet: the active
 // agents are split into a canary cohort plus waves, and the next Ticks
-// drive the push/observe/promote machine. stable is the payload pushed
-// back on rollback — the fleet-level last-good.
-func (c *Coordinator) Propose(now time.Duration, version string, payload, stable []byte) error {
+// drive the push/observe/promote machine. The rollback target is the
+// fleet last-good — the payload itself when there is none yet, which
+// makes a first rollout's rollback a no-op rather than a nil push.
+func (c *Coordinator) Propose(now time.Duration, version string, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.st.Active {
@@ -355,11 +392,16 @@ func (c *Coordinator) Propose(now time.Duration, version string, payload, stable
 		return errors.New("fleet: no active agents")
 	}
 	cohorts := c.cohorts(agents)
+	stable := c.st.LastGood
+	if stable == nil {
+		stable = payload
+	}
 	st := RolloutState{
 		Active: true, Version: version, Payload: payload, StablePayload: stable,
 		Phase: PhasePushing, Cohorts: cohorts, Agents: map[string]*AgentRollout{},
 		LastDecision: c.st.LastDecision, LastReason: c.st.LastReason,
 		Promotions: c.st.Promotions, Rollbacks: c.st.Rollbacks,
+		LastGood: c.st.LastGood,
 	}
 	for w, cohort := range cohorts {
 		for _, id := range cohort {
@@ -591,6 +633,9 @@ func (c *Coordinator) tickRollbackLocked(now time.Duration) {
 
 // finishLocked ends the rollout with a decision and persists it.
 func (c *Coordinator) finishLocked(now time.Duration, decision, reason string) {
+	if decision == guard.DecisionPromoted && c.st.Payload != nil {
+		c.st.LastGood = c.st.Payload
+	}
 	c.st.Active = false
 	c.st.Phase = PhaseIdle
 	c.st.Payload = nil

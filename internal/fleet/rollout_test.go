@@ -25,6 +25,7 @@ func testRollout(t *testing.T) (*Coordinator, *Registry, *fakeFleet) {
 		CanaryFraction: 0.34, Waves: 2, WindowTicks: 2, PushTicks: 2,
 		Fanout: noSleep(FanoutConfig{Attempts: 1}),
 	}, reg, ff.conns)
+	co.SeedLastGood([]byte(`{"v":1}`))
 	return co, reg, ff
 }
 
@@ -43,10 +44,10 @@ func drive(co *Coordinator, maxTicks int) int {
 
 func TestRolloutPromotesThroughWaves(t *testing.T) {
 	co, _, ff := testRollout(t)
-	if err := co.Propose(0, "v2", []byte(`{"v":2}`), []byte(`{"v":1}`)); err != nil {
+	if err := co.Propose(0, "v2", []byte(`{"v":2}`)); err != nil {
 		t.Fatalf("Propose: %v", err)
 	}
-	if err := co.Propose(0, "v3", nil, nil); err == nil {
+	if err := co.Propose(0, "v3", nil); err == nil {
 		t.Fatal("second Propose during a rollout must fail")
 	}
 	drive(co, 30)
@@ -60,11 +61,22 @@ func TestRolloutPromotesThroughWaves(t *testing.T) {
 				id, ag.proposalCount(), ag.lastProposal())
 		}
 	}
+	// The promoted candidate is the new fleet last-good: the next
+	// proposal rolls back to it, not to the seeded boot policy.
+	if got := string(co.LastGood()); got != `{"v":2}` {
+		t.Fatalf("last-good after promotion = %s, want {\"v\":2}", got)
+	}
+	if err := co.Propose(0, "v3", []byte(`{"v":3}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(co.State().StablePayload); got != `{"v":2}` {
+		t.Fatalf("v3 rollback target = %s, want {\"v\":2}", got)
+	}
 }
 
 func TestRolloutSLODeltaContainsBlastRadiusToCanaryCohort(t *testing.T) {
 	co, _, ff := testRollout(t)
-	if err := co.Propose(0, "bad", []byte(`{"v":9}`), []byte(`{"v":1}`)); err != nil {
+	if err := co.Propose(0, "bad", []byte(`{"v":9}`)); err != nil {
 		t.Fatal(err)
 	}
 	now := time.Second
@@ -104,7 +116,7 @@ func TestRolloutSLODeltaContainsBlastRadiusToCanaryCohort(t *testing.T) {
 
 func TestRolloutLocalGuardRollbackAbortsFleetWide(t *testing.T) {
 	co, _, ff := testRollout(t)
-	if err := co.Propose(0, "bad", []byte(`{"v":9}`), []byte(`{"v":1}`)); err != nil {
+	if err := co.Propose(0, "bad", []byte(`{"v":9}`)); err != nil {
 		t.Fatal(err)
 	}
 	co.Tick(time.Second) // staged on n1,n2
@@ -138,7 +150,7 @@ func TestRolloutLocalGuardRollbackAbortsFleetWide(t *testing.T) {
 func TestRolloutDegradesUnreachableAgentAndProceeds(t *testing.T) {
 	co, _, ff := testRollout(t)
 	ff.get("n2").setDown(true) // crashed before the rollout
-	if err := co.Propose(0, "v2", []byte(`{"v":2}`), []byte(`{"v":1}`)); err != nil {
+	if err := co.Propose(0, "v2", []byte(`{"v":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	drive(co, 40)
@@ -156,7 +168,7 @@ func TestRolloutDegradesUnreachableAgentAndProceeds(t *testing.T) {
 
 func TestRolloutRollbackDrainSurvivesCrashedAgent(t *testing.T) {
 	co, _, ff := testRollout(t)
-	if err := co.Propose(0, "bad", []byte(`{"v":9}`), []byte(`{"v":1}`)); err != nil {
+	if err := co.Propose(0, "bad", []byte(`{"v":9}`)); err != nil {
 		t.Fatal(err)
 	}
 	co.Tick(time.Second) // staged on n1,n2
@@ -184,7 +196,7 @@ func TestRolloutResumesAfterCoordinatorCrash(t *testing.T) {
 	fs := reconcile.NewMemFS()
 	store := NewStore(fs, nil)
 	co.SetStore(store)
-	if err := co.Propose(0, "v2", []byte(`{"v":2}`), []byte(`{"v":1}`)); err != nil {
+	if err := co.Propose(0, "v2", []byte(`{"v":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	co.Tick(time.Second) // canary staged, state persisted — then "crash"
@@ -232,7 +244,7 @@ func TestRolloutCohortsKeepControlAgent(t *testing.T) {
 		CanaryFraction: 1, WindowTicks: 1, PushTicks: 1,
 		Fanout: noSleep(FanoutConfig{Attempts: 1}),
 	}, reg, ff.conns)
-	if err := co.Propose(0, "v2", []byte("{}"), []byte("{}")); err != nil {
+	if err := co.Propose(0, "v2", []byte("{}")); err != nil {
 		t.Fatalf("single-agent fleets must still roll out: %v", err)
 	}
 	drive(co, 10)

@@ -47,7 +47,7 @@ func TestRolloutSpanChainAndTraceparent(t *testing.T) {
 	}, reg, func(a AgentRecord) AgentClient { return agents[a.ID] })
 	co.SetSpans(rec)
 
-	if err := co.Propose(0, "v2", []byte(`{"v":2}`), []byte(`{"v":1}`)); err != nil {
+	if err := co.Propose(0, "v2", []byte(`{"v":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	drive(co, 30)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"lachesis/internal/agent"
 	"lachesis/internal/driver"
 	"lachesis/internal/faults"
 	"lachesis/internal/fleet"
@@ -68,18 +69,13 @@ func failoverRolloutConfig() fleet.RolloutConfig {
 	}
 }
 
-// haReplica is one in-process lachesis-fleet coordinator: lease
-// manager, registry, rollout coordinator, follower and replicator —
-// the same wiring as fleetDaemon, ticked on the simulation's clock.
+// haReplica is one in-process lachesis-fleet coordinator: the daemon's
+// own fleet.Replica, plus the simulation's switches for crashing it and
+// cutting it off from the agents.
 type haReplica struct {
 	id  string
 	sim *simHA
-
-	lm   *fleet.LeaseManager
-	reg  *fleet.Registry
-	co   *fleet.Coordinator
-	fol  *fleet.Follower
-	repl *fleet.Replicator
+	rep *fleet.Replica
 
 	// overrides swaps agent clients for fault-injecting wrappers (this
 	// replica's view of the agents only).
@@ -88,88 +84,29 @@ type haReplica struct {
 	alive bool
 	// agentsCut mirrors the overrides partition for the heartbeat path.
 	agentsCut bool
-
-	failovers      int
-	lastGood       []byte
-	pending        []byte
-	promotionsSeen int64
 }
 
-func newHAReplica(sim *simHA, id string, lead bool) *haReplica {
+func newHAReplica(sim *simHA, id string, lead bool) (*haReplica, error) {
 	r := &haReplica{id: id, sim: sim, alive: true, overrides: map[string]fleet.AgentClient{}}
-	r.lm = fleet.NewLeaseManager(fleet.LeaseConfig{ID: id, TTL: failoverTTL})
-	r.reg = fleet.NewRegistry(fleetRegistryConfig())
-	conns := func(a fleet.AgentRecord) fleet.AgentClient {
-		if c, ok := r.overrides[a.ID]; ok {
-			return c
-		}
-		return sim.nodes[a.ID]
-	}
-	r.co = fleet.NewCoordinator(failoverRolloutConfig(), r.reg, conns)
-	r.co.SetEpoch(r.lm.FenceEpoch)
-	r.co.SetFencedHook(func(now time.Duration, agent string) { r.lm.Deposed(now, agent) })
-	r.fol = fleet.NewFollower(nil)
-	r.repl = fleet.NewReplicator()
-	r.lastGood = fleetGoodPayload
-	if lead {
-		r.lm.Acquire(0)
-	}
-	return r
-}
-
-// tick is the daemon's tick: a standby observes peers and promotes on
-// lease expiry; a leader renews, sweeps, advances the rollout, and
-// publishes a checkpoint — unless a fenced push deposed it mid-tick.
-func (r *haReplica) tick(now time.Duration) {
-	if !r.alive {
-		return
-	}
-	if !r.lm.Leading() {
-		for _, name := range r.repl.Peers() {
-			if pc := r.repl.Peer(name); pc != nil {
-				if info, err := pc.Lease(); err == nil {
-					r.lm.Observe(info, now)
-				}
+	rep, err := fleet.NewReplica(0, fleet.ReplicaConfig{
+		ID: id, LeaseTTL: failoverTTL,
+		Registry: fleetRegistryConfig(), Rollout: failoverRolloutConfig(),
+		Conns: func(a fleet.AgentRecord) fleet.AgentClient {
+			if c, ok := r.overrides[a.ID]; ok {
+				return c
 			}
-		}
-		if r.lm.Expired(now) {
-			r.promote(now)
-		}
-		return
-	}
-	r.lm.Renew(now)
-	r.reg.Sweep(now)
-	r.co.Tick(now)
-	st := r.co.Status()
-	if st.Promotions > r.promotionsSeen && r.pending != nil {
-		r.promotionsSeen = st.Promotions
-		r.lastGood = r.pending
-		r.pending = nil
-	}
-	if r.lm.Leading() {
-		r.repl.Publish(now, fleet.Checkpoint{
-			Lease:    r.lm.Info(),
-			Registry: r.reg.Agents(),
-			Rollout:  r.co.State(),
-			LastGood: r.lastGood,
-		})
-	}
+			return sim.nodes[a.ID]
+		},
+		Standby: !lead, LastGood: fleetGoodPayload,
+	})
+	r.rep = rep
+	return r, err
 }
 
-// promote is the standby takeover: bumped-epoch lease, registry leases
-// re-anchored, rollout resumed from the last applied checkpoint.
-func (r *haReplica) promote(now time.Duration) {
-	r.lm.Acquire(now)
-	r.failovers++
-	if cp, ok := r.fol.Last(); ok {
-		r.reg.Adopt(now, cp.Registry)
-		if r.co.Adopt(now, cp.Rollout) {
-			r.pending = cp.Rollout.Payload
-		}
-		if cp.LastGood != nil {
-			r.lastGood = cp.LastGood
-		}
-		r.promotionsSeen = cp.Rollout.Promotions
+// tick is the daemon's tick, skipped while the replica is crashed.
+func (r *haReplica) tick(now time.Duration) {
+	if r.alive {
+		r.rep.Tick(now)
 	}
 }
 
@@ -194,9 +131,8 @@ func (r *haReplica) healAgents() {
 }
 
 // simPeer is one replica's in-process view of another: the PeerClient
-// the HTTP layer would provide, mirroring the daemon's GET /lease and
-// POST /replicate handlers (including the fenced replication check and
-// the split-brain healing Observe).
+// the HTTP layer provides in lachesis-fleet (GET /lease, POST
+// /replicate).
 type simPeer struct {
 	sim *simHA
 	to  *haReplica
@@ -208,33 +144,20 @@ func (p *simPeer) Lease() (fleet.LeaseInfo, error) {
 	if !p.to.alive {
 		return fleet.LeaseInfo{}, driver.MarkTransient(fmt.Errorf("peer %s down", p.to.id))
 	}
-	return p.to.lm.Info(), nil
+	return p.to.rep.Lease().LeaseInfo, nil
 }
 
 func (p *simPeer) Replicate(cp fleet.Checkpoint) error {
 	if !p.to.alive {
 		return driver.MarkTransient(fmt.Errorf("peer %s down", p.to.id))
 	}
-	now := p.sim.now
-	p.to.lm.Observe(cp.Lease, now)
-	if p.to.lm.Leading() {
-		// Still leading after observing the sender's lease: the sender
-		// is the stale one. Fence it (the daemon's 403).
-		return &fleet.FencedError{Agent: p.to.id, Have: p.to.lm.Info().Epoch, Got: cp.Lease.Epoch}
-	}
-	if err := p.to.fol.Apply(cp); err != nil {
-		return err
-	}
-	if cp.LastGood != nil {
-		p.to.lastGood = cp.LastGood
-	}
-	return nil
+	return p.to.rep.ApplyCheckpoint(p.sim.now, cp)
 }
 
 // simHA drives two coordinator replicas over one simulated agent
 // fleet on a shared virtual clock.
 type simHA struct {
-	nodes    map[string]*simNode
+	nodes    map[string]*agent.Sim
 	order    []string
 	replicas []*haReplica // [leader a, standby b]
 	now      time.Duration
@@ -243,23 +166,24 @@ type simHA struct {
 func (s *simHA) clock() time.Duration { return s.now }
 
 func newSimHA() (*simHA, error) {
-	s := &simHA{nodes: make(map[string]*simNode)}
-	for i := 0; i < failoverAgents; i++ {
-		id := fmt.Sprintf("n%d", i+1)
-		n, err := newSimNodeWindow(id, failoverBindings, failoverLocalWindow)
-		if err != nil {
-			return nil, err
-		}
-		s.nodes[id] = n
-		s.order = append(s.order, id)
+	s := &simHA{}
+	var err error
+	if s.nodes, s.order, err = newSimNodes(failoverAgents, failoverBindings, failoverLocalWindow); err != nil {
+		return nil, err
 	}
-	a := newHAReplica(s, "a", true)
-	b := newHAReplica(s, "b", false)
-	a.repl.AddPeer("b", &simPeer{sim: s, to: b})
-	b.repl.AddPeer("a", &simPeer{sim: s, to: a})
+	a, err := newHAReplica(s, "a", true)
+	if err != nil {
+		return nil, err
+	}
+	b, err := newHAReplica(s, "b", false)
+	if err != nil {
+		return nil, err
+	}
+	a.rep.AddPeer("b", &simPeer{sim: s, to: b})
+	b.rep.AddPeer("a", &simPeer{sim: s, to: a})
 	s.replicas = []*haReplica{a, b}
 	for _, id := range s.order {
-		if _, err := a.reg.Register(0, id, id); err != nil {
+		if _, err := a.rep.Registry().Register(0, id, id); err != nil {
 			return nil, err
 		}
 	}
@@ -273,15 +197,15 @@ func newSimHA() (*simHA, error) {
 func (s *simHA) tick() {
 	s.now += time.Second
 	for _, id := range s.order {
-		s.nodes[id].tick(s.now)
+		s.nodes[id].Tick(s.now)
 	}
 	for _, id := range s.order {
 		for _, r := range s.replicas {
-			if !r.alive || r.agentsCut || !r.lm.Leading() {
+			if !r.alive || r.agentsCut || !r.rep.Leading() {
 				continue
 			}
-			_ = r.reg.Heartbeat(s.now, id)
-			s.nodes[id].gate.Observe(r.lm.FenceEpoch())
+			_ = r.rep.Registry().Heartbeat(s.now, id)
+			s.nodes[id].Gate().Observe(r.rep.Lease().Epoch)
 			break
 		}
 	}
@@ -294,7 +218,7 @@ func (s *simHA) tick() {
 func (s *simHA) leaders() int {
 	n := 0
 	for _, r := range s.replicas {
-		if r.alive && r.lm.Leading() {
+		if r.alive && r.rep.Leading() {
 			n++
 		}
 	}
@@ -304,8 +228,8 @@ func (s *simHA) leaders() int {
 // wavePushed reports whether any agent of the leader's given cohort has
 // staged the candidate (a successful push landed).
 func (s *simHA) wavePushed(r *haReplica, wave int) bool {
-	for _, id := range r.co.Cohort(wave) {
-		if c, _ := s.nodes[id].proposalCount(failoverV2Payload); c > 0 {
+	for _, id := range r.rep.Coordinator().Cohort(wave) {
+		if c, _ := s.nodes[id].Staged(failoverV2Payload); c > 0 {
 			return true
 		}
 	}
@@ -316,7 +240,7 @@ func (s *simHA) wavePushed(r *haReplica, wave int) bool {
 func (s *simHA) fencedRejects() int64 {
 	var n int64
 	for _, node := range s.nodes {
-		n += node.gate.Rejected()
+		n += node.Gate().Rejected()
 	}
 	return n
 }
@@ -333,11 +257,11 @@ func (s *simHA) settle() {
 // once) and clobbered agents (last-good did not converge on it).
 func (s *simHA) tally() (doublePushes, clobbered int) {
 	for _, node := range s.nodes {
-		c, _ := node.proposalCount(failoverV2Payload)
+		c, _ := node.Staged(failoverV2Payload)
 		if c > 1 {
 			doublePushes++
 		}
-		if string(node.lastGood()) != string(failoverV2Payload) {
+		if string(node.LastGood()) != string(failoverV2Payload) {
 			clobbered++
 		}
 	}
@@ -356,10 +280,10 @@ type FailoverRun struct {
 	Promoted      bool `json:"promoted"`
 	// ConvergenceHeartbeats: heartbeat rounds from the kill until every
 	// agent held the candidate as last-good.
-	ConvergenceHeartbeats int `json:"convergence_heartbeats"`
-	ConvergenceBound      int `json:"convergence_bound"`
-	DoublePushes          int `json:"double_pushes"`
-	ClobberedAgents       int `json:"clobbered_agents"`
+	ConvergenceHeartbeats int  `json:"convergence_heartbeats"`
+	ConvergenceBound      int  `json:"convergence_bound"`
+	DoublePushes          int  `json:"double_pushes"`
+	ClobberedAgents       int  `json:"clobbered_agents"`
 	Converged             bool `json:"converged"`
 }
 
@@ -402,7 +326,7 @@ type FailoverReport struct {
 func driveToWaveOneWindow(s *simHA, r *haReplica) error {
 	cfg := failoverRolloutConfig()
 	for i := 0; i < failoverMaxTicks; i++ {
-		st := r.co.Status()
+		st := r.rep.Coordinator().Status()
 		if st.Active && st.Wave == 0 && st.Phase == fleet.PhaseObserving && st.Ticks >= cfg.WindowTicks-1 {
 			return nil
 		}
@@ -423,8 +347,7 @@ func runFailover(sc Scale) (FailoverRun, error) {
 	for i := 0; i < 3; i++ {
 		s.tick()
 	}
-	a.pending = failoverV2Payload
-	if err := a.co.Propose(s.now, "v2-ha", failoverV2Payload, fleetGoodPayload); err != nil {
+	if err := a.rep.Propose(s.now, "v2-ha", failoverV2Payload); err != nil {
 		return out, err
 	}
 	if err := driveToWaveOneWindow(s, a); err != nil {
@@ -438,7 +361,7 @@ func runFailover(sc Scale) (FailoverRun, error) {
 		ReplicationLag: faults.Windows{{From: s.now, To: s.now + time.Hour}},
 		Clock:          s.clock,
 	})
-	a.repl.AddPeer("b", lagged)
+	a.rep.AddPeer("b", lagged)
 
 	// Tick until the wave-1 push lands on the agents, then kill a: the
 	// push is real, but b never saw the checkpoint recording it.
@@ -453,20 +376,20 @@ func runFailover(sc Scale) (FailoverRun, error) {
 	out.LaggedCheckpoints = lagged.Injected()
 
 	killTick := s.now
-	for i := 0; i < failoverMaxTicks && !b.lm.Leading(); i++ {
+	for i := 0; i < failoverMaxTicks && !b.rep.Leading(); i++ {
 		s.tick()
 	}
-	if !b.lm.Leading() {
+	if !b.rep.Leading() {
 		return out, fmt.Errorf("failover: standby never promoted")
 	}
 	out.FailoverTicks = int((s.now - killTick) / time.Second)
-	out.PromotedEpoch = b.lm.Info().Epoch
+	out.PromotedEpoch = b.rep.Lease().Epoch
 
-	for i := 0; i < failoverMaxTicks && b.co.Status().Active; i++ {
+	for i := 0; i < failoverMaxTicks && b.rep.Coordinator().Status().Active; i++ {
 		s.tick()
 	}
 	s.settle()
-	st := b.co.Status()
+	st := b.rep.Coordinator().Status()
 	out.Promoted = !st.Active && st.LastDecision == "promoted"
 	out.DoublePushes, out.ClobberedAgents = s.tally()
 	out.ConvergenceHeartbeats = int((s.now - killTick) / time.Second)
@@ -474,7 +397,7 @@ func runFailover(sc Scale) (FailoverRun, error) {
 	ttlTicks := int(failoverTTL / time.Second)
 	out.ConvergenceBound = ttlTicks + cfg.Waves*(cfg.WindowTicks+cfg.PushTicks) +
 		failoverLocalWindow + 10
-	out.Converged = out.Promoted && out.PromotedEpoch > 1 && b.failovers == 1 &&
+	out.Converged = out.Promoted && out.PromotedEpoch > 1 && b.rep.Failovers() == 1 &&
 		out.DoublePushes == 0 && out.ClobberedAgents == 0 &&
 		out.ConvergenceHeartbeats <= out.ConvergenceBound
 	return out, nil
@@ -493,8 +416,7 @@ func runSplitBrain(sc Scale) (SplitBrainRun, error) {
 	for i := 0; i < 3; i++ {
 		s.tick()
 	}
-	a.pending = failoverV2Payload
-	if err := a.co.Propose(s.now, "v2-ha", failoverV2Payload, fleetGoodPayload); err != nil {
+	if err := a.rep.Propose(s.now, "v2-ha", failoverV2Payload); err != nil {
 		return out, err
 	}
 	if err := driveToWaveOneWindow(s, a); err != nil {
@@ -504,23 +426,23 @@ func runSplitBrain(sc Scale) (SplitBrainRun, error) {
 	// The partition: a keeps running but loses both the standby link
 	// and every agent link. Its wave-1 pushes now fail transiently and
 	// retry each tick; b stops seeing a's lease.
-	rawAtoB, rawBtoA := a.repl.Peer("b"), b.repl.Peer("a")
+	rawAtoB, rawBtoA := a.rep.Peer("b"), b.rep.Peer("a")
 	cut := faults.PeerPlan{
 		Partitions: faults.Windows{{From: s.now, To: s.now + time.Hour}},
 		Clock:      s.clock,
 	}
-	a.repl.AddPeer("b", faults.WrapPeer(rawAtoB, cut))
-	b.repl.AddPeer("a", faults.WrapPeer(rawBtoA, cut))
+	a.rep.AddPeer("b", faults.WrapPeer(rawAtoB, cut))
+	b.rep.AddPeer("a", faults.WrapPeer(rawBtoA, cut))
 	a.cutAgents(s.now)
 	out.PartitionedAtTick = int(s.now / time.Second)
 
-	for i := 0; i < failoverMaxTicks && !b.lm.Leading(); i++ {
+	for i := 0; i < failoverMaxTicks && !b.rep.Leading(); i++ {
 		s.tick()
 	}
-	if !b.lm.Leading() {
+	if !b.rep.Leading() {
 		return out, fmt.Errorf("split brain: standby never promoted")
 	}
-	out.PromotedEpoch = b.lm.Info().Epoch
+	out.PromotedEpoch = b.rep.Lease().Epoch
 
 	// One heartbeat round after promotion ratchets the new epoch into
 	// every agent's fencing gate (heartbeat responses carry it).
@@ -528,7 +450,7 @@ func runSplitBrain(sc Scale) (SplitBrainRun, error) {
 	for i := 0; i < failoverMaxTicks; i++ {
 		all := true
 		for _, node := range s.nodes {
-			if node.gate.Epoch() < out.PromotedEpoch {
+			if node.Gate().Epoch() < out.PromotedEpoch {
 				all = false
 				break
 			}
@@ -546,18 +468,18 @@ func runSplitBrain(sc Scale) (SplitBrainRun, error) {
 	// feedback deposes a mid-tick. b's next checkpoint then reaches a,
 	// which stays a standby observing b's newer lease.
 	a.healAgents()
-	a.repl.AddPeer("b", rawAtoB)
-	b.repl.AddPeer("a", rawBtoA)
+	a.rep.AddPeer("b", rawAtoB)
+	b.rep.AddPeer("a", rawBtoA)
 	s.tick()
 	out.FencedWritesRejected = s.fencedRejects()
-	out.OldLeaderFencedPushes = a.co.Status().FencedPushes
-	out.OldLeaderSteppedDown = !a.lm.Leading()
+	out.OldLeaderFencedPushes = a.rep.Coordinator().Status().FencedPushes
+	out.OldLeaderSteppedDown = !a.rep.Leading()
 
-	for i := 0; i < failoverMaxTicks && b.co.Status().Active; i++ {
+	for i := 0; i < failoverMaxTicks && b.rep.Coordinator().Status().Active; i++ {
 		s.tick()
 	}
 	s.settle()
-	st := b.co.Status()
+	st := b.rep.Coordinator().Status()
 	out.Promoted = !st.Active && st.LastDecision == "promoted"
 	out.LeadersAtEnd = s.leaders()
 	out.DoublePushes, out.ClobberedAgents = s.tally()

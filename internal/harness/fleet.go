@@ -2,20 +2,17 @@ package harness
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
-	"lachesis/internal/core"
+	"lachesis/internal/agent"
 	"lachesis/internal/faults"
 	"lachesis/internal/fleet"
 	"lachesis/internal/guard"
 	"lachesis/internal/reconcile"
-	"lachesis/internal/span"
 )
 
 // The fleet experiment validates the coordination layer end to end: a
@@ -49,9 +46,6 @@ const (
 	// cycles); deliberately short, so local rollouts resolve well inside
 	// one fleet observation window.
 	fleetLocalWindow = 2
-	// fleetBaseP95 / fleetBaseTput are the per-node SLO baseline.
-	fleetBaseP95 = 0.010 // seconds
-	fleetBaseTput = 1000 // tuples/s
 	// fleetContainFactor is the acceptance bound: every non-cohort node's
 	// peak p95 must stay within this factor of its baseline while the
 	// cohort degrades and rolls back.
@@ -61,7 +55,9 @@ const (
 )
 
 // fleetGoodPayload / fleetAdvPayload are the policy payloads the
-// coordinator pushes: the agents' POST /policy format. The adversarial
+// coordinator pushes: the agents' POST /policy format. fleetGoodPayload
+// is also the agents' boot policy and so the fleet's initial last-good.
+// The adversarial
 // candidate inverts the heavy/light priority ordering, the signature the
 // SLO model turns into unbounded backlog.
 var (
@@ -70,303 +66,13 @@ var (
 	fleetV2Payload   = []byte(`{"priorities":{"heavy":12,"light":2},"origin":"fleet","version":"v2"}`)
 )
 
-// memOS is the agents' OS binding: it records nice values and ignores
-// cgroup operations (the SLO model reads the nices back).
-type memOS struct {
-	mu    sync.Mutex
-	nices map[int]int
-}
-
-func newMemOS() *memOS { return &memOS{nices: make(map[int]int)} }
-
-func (o *memOS) SetNice(tid, nice int) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.nices[tid] = nice
-	return nil
-}
-func (o *memOS) EnsureCgroup(string) error     { return nil }
-func (o *memOS) SetShares(string, int) error   { return nil }
-func (o *memOS) MoveThread(int, string) error  { return nil }
-func (o *memOS) nice(tid int) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.nices[tid]
-}
-
-// memPolicyStore is an in-memory guard.PolicyStore, so the experiment can
-// assert exactly what each agent holds as its last-good policy.
-type memPolicyStore struct {
-	mu   sync.Mutex
-	raw  []byte
-	have bool
-}
-
-func (s *memPolicyStore) SaveLastGoodPolicy(config []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.raw = append([]byte(nil), config...)
-	s.have = true
-	return nil
-}
-
-func (s *memPolicyStore) LoadLastGoodPolicy() ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]byte(nil), s.raw...), s.have, nil
-}
-
-// fleetNodeDriver exposes a node's physical operators; the static
-// policies fetch no metrics.
-type fleetNodeDriver struct {
-	entities []core.Entity
-}
-
-var _ core.Driver = (*fleetNodeDriver)(nil)
-
-func (d *fleetNodeDriver) Name() string            { return "node" }
-func (d *fleetNodeDriver) Entities() []core.Entity { return d.entities }
-func (d *fleetNodeDriver) Provides(string) bool    { return false }
-func (d *fleetNodeDriver) Fetch(metric string, _ time.Duration) (core.EntityValues, error) {
-	return nil, &core.UnknownMetricError{Metric: metric, Driver: "node"}
-}
-
-// fleetNodePolicy builds a named static heavy/light policy (the same
-// high-level-policy + transformation-rule path lachesisd runs).
-func fleetNodePolicy(name string, pri core.LogicalSchedule) core.Policy {
-	return core.Transformed(&core.StaticLogicalPolicy{
-		PolicyName: name, Priorities: pri,
-	}, core.MaxPriorityRule)
-}
-
-// simNode is one simulated lachesisd agent: a real middleware with
-// fleetNodeBindings bindings (each one heavy + one light operator), a
-// local canary controller fed by a node-wide SLO model, and an in-memory
-// last-good policy store. It implements fleet.AgentClient directly — the
-// coordinator talks to it the way it would POST to a live daemon.
-//
-// The SLO model: each binding whose heavy operator is niced weaker than
-// its light one is "inverted" and contributes backlog; node p95 grows as
-// baseP95 * (1 + backlog) and throughput shrinks by the same factor. A
-// node enforcing a sane policy drains one backlog unit per cycle.
-type simNode struct {
-	id string
-
-	// mu serializes everything: the node's decision cycle (tick) and the
-	// coordinator's AgentClient calls, exactly like lachesisd's step/HTTP
-	// mutex. All canary entry points hold mu, so the canary's sampler and
-	// policy-store callbacks run under it by construction.
-	mu        sync.Mutex
-	mw        *core.Middleware
-	canary    *guard.Canary
-	store     *memPolicyStore
-	osi       *memOS
-	gate      *fleet.EpochGate
-	pairs     [][2]int // per binding: heavy tid, light tid
-	now       time.Duration
-	backlog   float64
-	peak      float64 // peak p95 factor observed
-	proposals []string
-	stepErrs  int
-}
-
-var (
-	_ fleet.AgentClient = (*simNode)(nil)
-	_ fleet.TracedAgent = (*simNode)(nil)
-	_ fleet.FencedAgent = (*simNode)(nil)
-)
-
-func newSimNode(id string, bindings int) (*simNode, error) {
-	return newSimNodeWindow(id, bindings, fleetLocalWindow)
-}
-
-// newSimNodeWindow builds a node with a custom local canary window (the
-// failover experiment needs local rollouts to outlive a coordinator
-// failover, so the standby's stale re-push meets the idempotent 409
-// handshake instead of restaging a finished candidate).
-func newSimNodeWindow(id string, bindings, window int) (*simNode, error) {
-	n := &simNode{id: id, osi: newMemOS(), store: &memPolicyStore{}, peak: 1}
-	n.gate, _ = fleet.NewEpochGate(id, nil)
-	n.mw = core.NewMiddleware(nil)
-	n.canary = guard.NewCanary(guard.Config{Fraction: 0.5, Window: window})
-	n.canary.SetSampler(func([]string) guard.SLOSample { return n.sloLocked() })
-	n.canary.SetPolicyStore(n.store)
-	drv := &fleetNodeDriver{}
-	tr := core.NewNiceTranslator(n.osi)
-	good := core.LogicalSchedule{"heavy": 10, "light": 1}
-	for b := 0; b < bindings; b++ {
-		q := fmt.Sprintf("q%03d", b)
-		hTid, lTid := 2*b+1, 2*b+2
-		drv.entities = append(drv.entities,
-			core.Entity{Name: q + ".heavy", Driver: "node", Query: q, Thread: hTid, Logical: []string{"heavy"}},
-			core.Entity{Name: q + ".light", Driver: "node", Query: q, Thread: lTid, Logical: []string{"light"}},
-		)
-		n.pairs = append(n.pairs, [2]int{hTid, lTid})
-		slot := n.canary.Slot(fleetNodePolicy(fmt.Sprintf("good@%s/%s", id, q), good))
-		if err := n.mw.Bind(core.Binding{
-			Policy: slot, Translator: tr,
-			Drivers: []core.Driver{drv}, Queries: []string{q},
-			Period: time.Second,
-		}); err != nil {
-			return nil, fmt.Errorf("%s: bind %s: %w", id, q, err)
-		}
-	}
-	return n, nil
-}
-
-// sloLocked is the node-wide SLO sample (caller holds n.mu — the canary
-// invokes it from Propose and Tick, both entered under the node mutex).
-// Canary and control bindings share it, which is precisely why the LOCAL
-// canary cannot convict a node-wide degradation: the relative verdict
-// cancels, and catching it is the fleet coordinator's job.
-func (n *simNode) sloLocked() guard.SLOSample {
-	f := 1 + n.backlog
-	return guard.SLOSample{LatencyP95: fleetBaseP95 * f, Throughput: fleetBaseTput / f, OK: true}
-}
-
-// tick runs one decision cycle: apply policies, update the SLO model
-// from the resulting nice ordering, then advance the local canary.
-func (n *simNode) tick(now time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.now = now
-	if _, err := n.mw.Step(now); err != nil {
-		n.stepErrs++
-	}
-	inv := n.invertedLocked()
-	if inv > 0 {
-		n.backlog += float64(inv) / float64(len(n.pairs))
-	} else if n.backlog > 0 {
-		if n.backlog--; n.backlog < 0 {
-			n.backlog = 0
-		}
-	}
-	if f := 1 + n.backlog; f > n.peak {
-		n.peak = f
-	}
-	n.canary.Tick(now)
-}
-
-func (n *simNode) invertedLocked() int {
-	inv := 0
-	for _, p := range n.pairs {
-		if n.osi.nice(p[0]) > n.osi.nice(p[1]) {
-			inv++
-		}
-	}
-	return inv
-}
-
-// Propose implements fleet.AgentClient: the agent-side POST /policy.
-// The payload is lachesisd's policyConfig shape — a version names the
-// candidate (the coordinator's idempotency handshake), and a rollout
-// already in flight answers with a conflict, never a displacement.
-func (n *simNode) Propose(payload []byte) (guard.Status, error) {
-	return n.ProposeTraced(payload, "")
-}
-
-// ProposeTraced implements fleet.TracedAgent: the coordinator's trace
-// context arrives out-of-band (what the Traceparent header carries to a
-// live daemon) and parents the local canary's stage span, so one trace
-// spans coordinator push -> agent canary -> verdict. Payload bytes are
-// untouched; a malformed or empty traceparent degrades to Propose.
-func (n *simNode) ProposeTraced(payload []byte, traceparent string) (guard.Status, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var pc struct {
-		Priorities map[string]float64 `json:"priorities"`
-		Version    string             `json:"version"`
-	}
-	if err := json.Unmarshal(payload, &pc); err != nil {
-		return guard.Status{}, err
-	}
-	if len(pc.Priorities) == 0 {
-		return guard.Status{}, errors.New("policy has no priorities")
-	}
-	name := pc.Version
-	if name == "" {
-		name = fmt.Sprintf("reload-%d", len(n.proposals)+1)
-	}
-	cand := fleetNodePolicy(name, core.LogicalSchedule(pc.Priorities))
-	parent, _ := span.ParseTraceparent(traceparent)
-	if err := n.canary.ProposeCtx(n.now, name, cand, payload, parent); err != nil {
-		return guard.Status{}, &fleet.ConflictError{Agent: n.id, Body: err.Error()}
-	}
-	n.proposals = append(n.proposals, string(payload))
-	return n.canary.Status(), nil
-}
-
-// ProposeFenced implements fleet.FencedAgent: the agent-side fencing
-// check lachesisd runs on POST /policy's X-Lachesis-Epoch header. An
-// epoch below the highest this node has witnessed is rejected with
-// *fleet.FencedError before the payload is even parsed — a deposed
-// coordinator's stale push never stages anything.
-func (n *simNode) ProposeFenced(payload []byte, traceparent string, epoch int64) (guard.Status, error) {
-	if err := n.gate.Admit(epoch); err != nil {
-		return guard.Status{}, err
-	}
-	return n.ProposeTraced(payload, traceparent)
-}
-
-// Status implements fleet.AgentClient.
-func (n *simNode) Status() (guard.Status, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.canary.Status(), nil
-}
-
-// SLO implements fleet.AgentClient: the coordinator's /metrics scrape.
-func (n *simNode) SLO() (guard.SLOSample, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sloLocked(), nil
-}
-
-func (n *simNode) peakFactor() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.peak
-}
-
-func (n *simNode) inverted() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.invertedLocked()
-}
-
-func (n *simNode) proposalCount(payload []byte) (of, total int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, p := range n.proposals {
-		if p == string(payload) {
-			of++
-		}
-	}
-	return of, len(n.proposals)
-}
-
-func (n *simNode) lastGood() []byte {
-	raw, ok, _ := n.store.LoadLastGoodPolicy()
-	if !ok {
-		return nil
-	}
-	return raw
-}
-
-func (n *simNode) stepErrors() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stepErrs
-}
-
-// simFleet wires agents, registry, and coordinator, and drives their
-// shared virtual clock one second per tick.
+// simFleet drives a single coordinator replica over simulated agents
+// (the shared agent.Sim) on a shared virtual clock, one second per tick.
 type simFleet struct {
-	nodes map[string]*simNode
+	nodes map[string]*agent.Sim
 	order []string
 	conns fleet.ConnFactory
-	reg   *fleet.Registry
-	co    *fleet.Coordinator
+	rep   *fleet.Replica
 	now   time.Duration
 	// hbDown marks agents whose heartbeats are lost (network partition:
 	// both directions go dark).
@@ -389,16 +95,28 @@ func fleetRolloutConfig() fleet.RolloutConfig {
 	}
 }
 
-func newSimFleet(agents, bindings int) (*simFleet, error) {
-	f := &simFleet{nodes: make(map[string]*simNode), hbDown: make(map[string]bool)}
+// newSimNodes builds agents n1..nN with the given bindings and local
+// canary window.
+func newSimNodes(agents, bindings, window int) (map[string]*agent.Sim, []string, error) {
+	nodes := make(map[string]*agent.Sim, agents)
+	var order []string
 	for i := 0; i < agents; i++ {
 		id := fmt.Sprintf("n%d", i+1)
-		n, err := newSimNode(id, bindings)
+		n, err := agent.NewSim(agent.SimConfig{ID: id, Bindings: bindings, Window: window})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		f.nodes[id] = n
-		f.order = append(f.order, id)
+		nodes[id] = n
+		order = append(order, id)
+	}
+	return nodes, order, nil
+}
+
+func newSimFleet(agents, bindings int) (*simFleet, error) {
+	f := &simFleet{hbDown: make(map[string]bool)}
+	var err error
+	if f.nodes, f.order, err = newSimNodes(agents, bindings, fleetLocalWindow); err != nil {
+		return nil, err
 	}
 	// The factory resolves through the overrides map on every call, so a
 	// fault wrapper installed mid-run (a partition) takes effect on the
@@ -414,37 +132,28 @@ func newSimFleet(agents, bindings int) (*simFleet, error) {
 	return f, nil
 }
 
-// start builds a registry and coordinator (optionally persistent) and
-// registers every agent.
-func (f *simFleet) start(store *fleet.Store) error {
-	f.reg = fleet.NewRegistry(fleetRegistryConfig())
-	if store != nil {
-		f.reg.SetStore(store)
-	}
-	for _, id := range f.order {
-		if _, err := f.reg.Register(f.now, id, id); err != nil {
-			return err
-		}
-	}
-	f.co = fleet.NewCoordinator(fleetRolloutConfig(), f.reg, f.conns)
-	if store != nil {
-		f.co.SetStore(store)
-	}
-	return nil
+// restart builds the coordinator replica over store (nil: memory only).
+// Over a store that holds state it is the crash-recovery path: registry
+// and rollout resume where the last replica left them. The agents are
+// untouched.
+func (f *simFleet) restart(store *fleet.Store) error {
+	rep, err := fleet.NewReplica(f.now, fleet.ReplicaConfig{
+		ID: "fleet", Registry: fleetRegistryConfig(), Rollout: fleetRolloutConfig(),
+		Conns: f.conns, Store: store, LastGood: fleetGoodPayload,
+	})
+	f.rep = rep
+	return err
 }
 
-// restart stands up a fresh coordinator from persisted state — the
-// crash-recovery path. The agents are untouched.
-func (f *simFleet) restart(store *fleet.Store) error {
-	f.reg = fleet.NewRegistry(fleetRegistryConfig())
-	f.reg.SetStore(store)
-	if err := f.reg.Restore(f.now); err != nil {
+// start builds the coordinator and registers every agent.
+func (f *simFleet) start(store *fleet.Store) error {
+	if err := f.restart(store); err != nil {
 		return err
 	}
-	f.co = fleet.NewCoordinator(fleetRolloutConfig(), f.reg, f.conns)
-	f.co.SetStore(store)
-	if _, err := f.co.Resume(f.now); err != nil {
-		return err
+	for _, id := range f.order {
+		if _, err := f.rep.Registry().Register(f.now, id, id); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -457,18 +166,17 @@ func (f *simFleet) restart(store *fleet.Store) error {
 func (f *simFleet) tick(withCoordinator bool) {
 	f.now += time.Second
 	for _, id := range f.order {
-		f.nodes[id].tick(f.now)
+		f.nodes[id].Tick(f.now)
 	}
 	if !withCoordinator {
 		return
 	}
 	for _, id := range f.order {
 		if !f.hbDown[id] {
-			_ = f.reg.Heartbeat(f.now, id)
+			_ = f.rep.Registry().Heartbeat(f.now, id)
 		}
 	}
-	f.reg.Sweep(f.now)
-	f.co.Tick(f.now)
+	f.rep.Tick(f.now)
 }
 
 // FleetContainment is the containment run's slice of BENCH_fleet.json.
@@ -553,19 +261,20 @@ func runFleetContainment(sc Scale) (FleetContainment, error) {
 	f.hbDown[partitioned] = true
 	out.PartitionedAgent = partitioned
 
-	if err := f.co.Propose(f.now, "v-adv", fleetAdvPayload, fleetGoodPayload); err != nil {
+	co := f.rep.Coordinator()
+	if err := f.rep.Propose(f.now, "v-adv", fleetAdvPayload); err != nil {
 		return out, err
 	}
-	out.Cohort = f.co.Cohort(0)
+	out.Cohort = co.Cohort(0)
 
 	ticks := 0
-	for ; ticks < fleetMaxTicks && f.co.Status().Active; ticks++ {
+	for ; ticks < fleetMaxTicks && co.Status().Active; ticks++ {
 		f.tick(true)
-		if f.co.Fanout().BreakerOpen(f.now, partitioned) {
+		if co.Fanout().BreakerOpen(f.now, partitioned) {
 			out.BreakerOpened = true
 		}
 	}
-	st := f.co.Status()
+	st := co.Status()
 	out.RolloutTicks = ticks
 	out.RolledBack = !st.Active && st.LastDecision == guard.DecisionRolledBack
 	out.Reason = st.LastReason
@@ -582,12 +291,12 @@ func runFleetContainment(sc Scale) (FleetContainment, error) {
 	}
 	out.CohortRestored = true
 	for id, n := range f.nodes {
-		peak := n.peakFactor()
+		peak := n.PeakFactor()
 		if cohort[id] {
 			if peak > out.CohortPeak {
 				out.CohortPeak = peak
 			}
-			if id != partitioned && (n.inverted() != 0 || string(n.lastGood()) != string(fleetGoodPayload)) {
+			if id != partitioned && (n.Inverted() != 0 || string(n.LastGood()) != string(fleetGoodPayload)) {
 				out.CohortRestored = false
 			}
 			continue
@@ -595,14 +304,14 @@ func runFleetContainment(sc Scale) (FleetContainment, error) {
 		if peak > out.NonCohortPeak {
 			out.NonCohortPeak = peak
 		}
-		adv, _ := n.proposalCount(fleetAdvPayload)
+		adv, _ := n.Staged(fleetAdvPayload)
 		out.NonCohortProposals += adv
 	}
-	if rec, ok := f.reg.Lookup(partitioned); ok {
+	if rec, ok := f.rep.Registry().Lookup(partitioned); ok {
 		out.PartitionedEvicted = rec.State == fleet.LeaseEvicted
 	}
-	_, partTotal := inner.proposalCount(nil)
-	out.PartitionedKeptLastGood = partTotal == 0 && inner.inverted() == 0
+	_, partTotal := inner.Staged(nil)
+	out.PartitionedKeptLastGood = partTotal == 0 && inner.Inverted() == 0
 
 	out.Contained = out.RolledBack &&
 		out.NonCohortPeak <= fleetContainFactor &&
@@ -628,7 +337,7 @@ func runFleetRestart(sc Scale) (FleetRestart, error) {
 	for i := 0; i < 3; i++ {
 		f.tick(true)
 	}
-	if err := f.co.Propose(f.now, "v2", fleetV2Payload, fleetGoodPayload); err != nil {
+	if err := f.rep.Propose(f.now, "v2", fleetV2Payload); err != nil {
 		return out, err
 	}
 	// One cycle stages the canary cohort; then the coordinator "crashes"
@@ -639,13 +348,13 @@ func runFleetRestart(sc Scale) (FleetRestart, error) {
 	out.DowntimeTicks = 5
 	errsBefore := 0
 	for _, n := range f.nodes {
-		errsBefore += n.stepErrors()
+		errsBefore += n.StepErrors()
 	}
 	for i := 0; i < out.DowntimeTicks; i++ {
 		f.tick(false)
 	}
 	for _, n := range f.nodes {
-		out.DowntimeStepErrors += n.stepErrors()
+		out.DowntimeStepErrors += n.StepErrors()
 	}
 	out.DowntimeStepErrors -= errsBefore
 
@@ -653,26 +362,27 @@ func runFleetRestart(sc Scale) (FleetRestart, error) {
 	if err := f.restart(fleet.NewStore(mfs, nil)); err != nil {
 		return out, err
 	}
-	st := f.co.Status()
+	co := f.rep.Coordinator()
+	st := co.Status()
 	out.ResumedActive = st.Active && st.Version == "v2"
-	out.ResumedAgents = len(f.reg.Active())
+	out.ResumedAgents = len(f.rep.Registry().Active())
 
-	for i := 0; i < fleetMaxTicks && f.co.Status().Active; i++ {
+	for i := 0; i < fleetMaxTicks && co.Status().Active; i++ {
 		f.tick(true)
 	}
 	// A few settle cycles so the last wave's local canaries promote.
 	for i := 0; i < fleetLocalWindow+1; i++ {
 		f.tick(true)
 	}
-	st = f.co.Status()
+	st = co.Status()
 	out.Promoted = !st.Active && st.LastDecision == guard.DecisionPromoted
 
 	for _, n := range f.nodes {
-		v2, _ := n.proposalCount(fleetV2Payload)
+		v2, _ := n.Staged(fleetV2Payload)
 		if v2 > 1 {
 			out.DoublePushes++
 		}
-		if string(n.lastGood()) != string(fleetV2Payload) {
+		if string(n.LastGood()) != string(fleetV2Payload) {
 			out.ClobberedAgents++
 		}
 	}

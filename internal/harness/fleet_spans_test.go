@@ -29,7 +29,8 @@ func TestFleetTraceCrossesProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	coRec := span.New(span.Config{Process: "lachesis-fleet", Seed: 3, Sink: span.NewJSONLSink(coFile)})
-	f.co.SetSpans(coRec)
+	co := f.rep.Coordinator()
+	co.SetSpans(coRec)
 	agFile, err := os.Create(filepath.Join(dir, "agents.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -37,16 +38,16 @@ func TestFleetTraceCrossesProcesses(t *testing.T) {
 	agSink := span.NewJSONLSink(agFile)
 	for i, id := range f.order {
 		rec := span.New(span.Config{Process: "lachesisd/" + id, Seed: uint64(100 + i), Sink: agSink})
-		f.nodes[id].canary.SetSpans(rec)
+		f.nodes[id].Canary().SetSpans(rec)
 	}
 
-	if err := f.co.Propose(f.now, "v-good", fleetGoodPayload, fleetGoodPayload); err != nil {
+	if err := f.rep.Propose(f.now, "v-good", fleetGoodPayload); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < fleetMaxTicks && f.co.Status().Active; i++ {
+	for i := 0; i < fleetMaxTicks && co.Status().Active; i++ {
 		f.tick(true)
 	}
-	if st := f.co.Status(); st.LastDecision != guard.DecisionPromoted {
+	if st := co.Status(); st.LastDecision != guard.DecisionPromoted {
 		t.Fatalf("rollout did not promote: %+v", st)
 	}
 
