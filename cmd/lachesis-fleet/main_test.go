@@ -363,3 +363,43 @@ func TestStateDirLastGoodRecordSeedsRollout(t *testing.T) {
 		t.Fatalf("restarted last-good = %s, want the promoted {\"v\":2}", got)
 	}
 }
+
+// TestPolicyProposalStatusCodes: POST /fleet/policy answers 503 while no
+// agent is active, 400 for a body that is not JSON, 202 when a rollout
+// starts and 409 while it is in flight.
+func TestPolicyProposalStatusCodes(t *testing.T) {
+	d := quickDaemon(t, fleet.HTTPConnFactory(time.Second), nil)
+	srv := httptest.NewServer(d.handler())
+	defer srv.Close()
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/fleet/policy?version=v2", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	payload := `{"priorities":{"q1":2}}`
+	if code := post(payload); code != http.StatusServiceUnavailable {
+		t.Fatalf("proposal with no agents = %d, want 503", code)
+	}
+	a := newPolicyAgent(t)
+	reg, _ := json.Marshal(fleet.RegisterRequest{ID: "n1", Addr: a.addr()})
+	resp, err := http.Post(srv.URL+"/register", "application/json", bytes.NewReader(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for _, bad := range []string{"", "priorities: {q1: 2}"} {
+		if code := post(bad); code != http.StatusBadRequest {
+			t.Fatalf("proposal of %q = %d, want 400", bad, code)
+		}
+	}
+	if code := post(payload); code != http.StatusAccepted {
+		t.Fatalf("proposal = %d, want 202", code)
+	}
+	if code := post(payload); code != http.StatusConflict {
+		t.Fatalf("proposal during a rollout = %d, want 409", code)
+	}
+}

@@ -277,10 +277,25 @@ func (d *fleetDaemon) handler() http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
+			if !json.Valid(body) {
+				// Every agent parses the payload as JSON: a rollout of
+				// anything else could only fail on each of them.
+				http.Error(w, "fleet: policy payload is not JSON", http.StatusBadRequest)
+				return
+			}
 			if err := d.rep.Propose(d.now(), r.URL.Query().Get("version"), body); err != nil {
-				// 409 mirrors the agent API: a rollout in flight must not be
-				// silently displaced.
-				http.Error(w, err.Error(), http.StatusConflict)
+				code := http.StatusInternalServerError
+				switch {
+				case errors.Is(err, fleet.ErrRolloutInFlight):
+					// 409 mirrors the agent API: a rollout in flight must
+					// not be silently displaced.
+					code = http.StatusConflict
+				case errors.Is(err, fleet.ErrEmptyVersion):
+					code = http.StatusBadRequest
+				case errors.Is(err, fleet.ErrNoActiveAgents):
+					code = http.StatusServiceUnavailable
+				}
+				http.Error(w, err.Error(), code)
 				return
 			}
 			writeJSON(w, http.StatusAccepted, d.rep.Coordinator().Status())

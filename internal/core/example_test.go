@@ -38,7 +38,8 @@ func ExampleMaxPriorityRule() {
 		"f1":  {Name: "f1", Logical: []string{"F"}},
 	}
 	logical := core.LogicalSchedule{"C": 1, "D": 9, "E": 2, "F": 5}
-	physical := core.MaxPriorityRule(logical, entities)
+	physical := map[string]float64{}
+	core.MaxPriorityRule(logical, entities, physical)
 	var names []string
 	for name := range physical {
 		names = append(names, name)

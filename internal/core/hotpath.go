@@ -193,6 +193,27 @@ type InPlaceScheduler interface {
 	InPlaceTarget() Policy
 }
 
+// InPlaceOf returns p's in-place path: p itself when it implements
+// InPlaceScheduler and is its own InPlaceTarget, nil otherwise.
+func InPlaceOf(p Policy) InPlaceScheduler {
+	if ip, ok := p.(InPlaceScheduler); ok && sameInstance(ip.InPlaceTarget(), p) {
+		return ip
+	}
+	return nil
+}
+
+// DropEmptyGroups deletes the group buckets of out that gathered no ops
+// this cycle. Between cycles the middleware truncates buckets instead of
+// deleting them, so an in-place policy whose groups changed must drop the
+// stale ones, or translators would ensure empty cgroups.
+func DropEmptyGroups(out *Schedule) {
+	for gid, grp := range out.Groups {
+		if len(grp.Ops) == 0 {
+			delete(out.Groups, gid)
+		}
+	}
+}
+
 // resetSched clears a binding's reusable schedule buffers for the next
 // in-place policy run, retaining map buckets and group op slices.
 func (bp *boundPolicy) resetSched() {

@@ -388,9 +388,7 @@ func (m *Middleware) Bind(b Binding) error {
 	// The in-place fast path only engages when the policy itself is the
 	// in-place implementation (see InPlaceTarget): a wrapper embedding an
 	// in-place policy but overriding Schedule must keep its override.
-	if ip, ok := b.Policy.(InPlaceScheduler); ok && sameInstance(ip.InPlaceTarget(), b.Policy) {
-		bp.inPlace = ip
-	}
+	bp.inPlace = InPlaceOf(b.Policy)
 	bp.names = make([]string, 0, len(b.Drivers))
 	for _, d := range b.Drivers {
 		bp.names = append(bp.names, d.Name())

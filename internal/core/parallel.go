@@ -394,9 +394,12 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy, values Value
 	view := m.buildView(now, bp, values)
 	out.entities = len(view.Entities)
 	bst.Entities = len(view.Entities)
+	// One clock read per phase boundary: each phase ends where the next
+	// begins.
 	t0 := m.nowFn()
 	sched, err := m.scheduleBounded(now, bp, view, m.phaseDeadline(PhaseSchedule))
-	bst.Schedule = m.nowFn().Sub(t0)
+	t1 := m.nowFn()
+	bst.Schedule = t1.Sub(t0)
 	if m.emitPhase(&bctx, now, "schedule", bst.Schedule, err) {
 		childEmitted = true
 	}
@@ -412,7 +415,7 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy, values Value
 		})
 		out.errs = append(out.errs, err)
 		m.recordFailure(bp, now, err)
-		m.emitBinding(bctx, now, bp.label, m.nowFn().Sub(b0), err, childEmitted)
+		m.emitBinding(bctx, now, bp.label, t1.Sub(b0), err, childEmitted)
 		return out
 	}
 	done := m.auditApplyCtx(now, bp, view.Entities)
@@ -422,7 +425,6 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy, values Value
 	if bp.Guard != nil {
 		bp.Guard.BeginApply(now, bp.label, view)
 	}
-	t0 = m.nowFn()
 	var aerr error
 	// Apply deadlines require a guard: only its buffering makes the
 	// cancellation safe (no op has reached the OS chain yet).
@@ -431,29 +433,32 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy, values Value
 	} else {
 		aerr = m.safeApply(bp.Translator, sched, view.Entities)
 	}
-	if m.emitPhase(&bctx, now, "apply", m.nowFn().Sub(t0), aerr) {
+	t2 := m.nowFn()
+	if m.emitPhase(&bctx, now, "apply", t2.Sub(t1), aerr) {
 		childEmitted = true
 	}
 	if bp.Guard != nil && !errors.Is(aerr, ErrPhaseDeadline) {
-		g0 := m.nowFn()
 		gerr := bp.Guard.FinishApply()
-		if m.emitPhase(&bctx, now, "guard", m.nowFn().Sub(g0), gerr) {
+		g := m.nowFn()
+		if m.emitPhase(&bctx, now, "guard", g.Sub(t2), gerr) {
 			childEmitted = true
 		}
+		t2 = g
 		aerr = errors.Join(aerr, gerr)
 	}
 	if bp.Coalescer != nil {
 		// After a timed-out or guard-blocked apply the coalescer batch is
 		// empty (the guard released nothing), so Flush closes it without
 		// kernel writes and the last-applied mirror stays in force.
-		f0 := m.nowFn()
 		ferr := bp.Coalescer.Flush()
-		if m.emitPhase(&bctx, now, "flush", m.nowFn().Sub(f0), ferr) {
+		f := m.nowFn()
+		if m.emitPhase(&bctx, now, "flush", f.Sub(t2), ferr) {
 			childEmitted = true
 		}
+		t2 = f
 		aerr = errors.Join(aerr, ferr)
 	}
-	bst.Apply = m.nowFn().Sub(t0)
+	bst.Apply = t2.Sub(t1)
 	done()
 	bp.hApply.Observe(bst.Apply)
 	m.auditRecord(AuditEvent{
@@ -467,11 +472,11 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy, values Value
 		out.bst = bst
 		out.errs = append(out.errs, aerr)
 		m.recordFailure(bp, now, aerr)
-		m.emitBinding(bctx, now, bp.label, m.nowFn().Sub(b0), aerr, childEmitted)
+		m.emitBinding(bctx, now, bp.label, t2.Sub(b0), aerr, childEmitted)
 		return out
 	}
 	out.bst = bst
-	m.emitBinding(bctx, now, bp.label, m.nowFn().Sub(b0), nil, childEmitted)
+	m.emitBinding(bctx, now, bp.label, t2.Sub(b0), nil, childEmitted)
 	m.ins.policyRuns.Inc()
 	if bp.open {
 		// Successful half-open probe: the breaker closes.

@@ -139,7 +139,8 @@ func TestMaxPriorityRule(t *testing.T) {
 		"f1":  {Name: "f1", Logical: []string{"F"}},
 	}
 	logical := LogicalSchedule{"C": 1, "D": 9, "E": 2, "F": 5}
-	got := MaxPriorityRule(logical, ents)
+	got := map[string]float64{}
+	MaxPriorityRule(logical, ents, got)
 	if got["cde"] != 9 {
 		t.Errorf("fused op priority = %v, want max(1,9,2)=9", got["cde"])
 	}

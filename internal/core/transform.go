@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"maps"
+	"sync"
+	"time"
+)
 
 // LogicalSchedule maps logical operator names to priorities. High-level
 // policies produce logical schedules so users can express preferences
@@ -12,20 +16,20 @@ type LogicalSchedule map[string]float64
 type LogicalPolicy interface {
 	Name() string
 	Metrics() []string
-	// ScheduleLogical computes logical-operator priorities and their scale.
-	ScheduleLogical(view *View) (LogicalSchedule, Scale, error)
+	// ScheduleLogical writes logical-operator priorities into out, which
+	// is empty on entry, and returns their scale.
+	ScheduleLogical(view *View, out LogicalSchedule) (Scale, error)
 }
 
 // TransformationRule converts a logical schedule into physical-operator
-// priorities, given the entity descriptions (which record fusion and
-// fission applied by the SPE).
-type TransformationRule func(input LogicalSchedule, entities map[string]Entity) map[string]float64
+// priorities, written into out, given the entity descriptions (which
+// record fusion and fission applied by the SPE).
+type TransformationRule func(input LogicalSchedule, entities map[string]Entity, out map[string]float64)
 
 // MaxPriorityRule is the paper's example rule (Algorithm 2): a fused
 // physical operator gets the highest priority among its logical operators;
 // fission replicas inherit their logical operator's priority.
-func MaxPriorityRule(input LogicalSchedule, entities map[string]Entity) map[string]float64 {
-	out := make(map[string]float64, len(entities))
+func MaxPriorityRule(input LogicalSchedule, entities map[string]Entity, out map[string]float64) {
 	for name, ent := range entities {
 		first := true
 		var best float64
@@ -43,7 +47,6 @@ func MaxPriorityRule(input LogicalSchedule, entities map[string]Entity) map[stri
 			out[name] = best
 		}
 	}
-	return out
 }
 
 // transformedPolicy adapts a LogicalPolicy + TransformationRule into a
@@ -51,9 +54,15 @@ func MaxPriorityRule(input LogicalSchedule, entities map[string]Entity) map[stri
 type transformedPolicy struct {
 	lp   LogicalPolicy
 	rule TransformationRule
+
+	// mu guards logical, the in-place path's reused logical schedule:
+	// one instance may back several canary slots whose bindings run
+	// concurrently.
+	mu      sync.Mutex
+	logical LogicalSchedule
 }
 
-var _ Policy = (*transformedPolicy)(nil)
+var _ InPlaceScheduler = (*transformedPolicy)(nil)
 
 // Transformed combines a high-level (logical) policy with a reusable
 // transformation rule, yielding a policy over physical operators (§5.1's
@@ -71,13 +80,38 @@ func (t *transformedPolicy) Name() string { return t.lp.Name() + "+transform" }
 // Metrics implements Policy.
 func (t *transformedPolicy) Metrics() []string { return t.lp.Metrics() }
 
-// Schedule implements Policy.
+// Schedule implements Policy: ScheduleInto over fresh maps.
 func (t *transformedPolicy) Schedule(view *View) (Schedule, error) {
-	logical, scale, err := t.lp.ScheduleLogical(view)
-	if err != nil {
+	out := Schedule{Single: make(map[string]float64, len(view.Entities))}
+	if err := t.schedule(view, make(LogicalSchedule), &out); err != nil {
 		return Schedule{}, err
 	}
-	return Schedule{Scale: scale, Single: t.rule(logical, view.Entities)}, nil
+	return out, nil
+}
+
+// ScheduleInto implements InPlaceScheduler, reusing one logical schedule
+// across cycles.
+func (t *transformedPolicy) ScheduleInto(view *View, out *Schedule) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.logical == nil {
+		t.logical = make(LogicalSchedule)
+	}
+	clear(t.logical)
+	return t.schedule(view, t.logical, out)
+}
+
+// InPlaceTarget implements InPlaceScheduler.
+func (t *transformedPolicy) InPlaceTarget() Policy { return t }
+
+func (t *transformedPolicy) schedule(view *View, logical LogicalSchedule, out *Schedule) error {
+	scale, err := t.lp.ScheduleLogical(view, logical)
+	if err != nil {
+		return err
+	}
+	t.rule(logical, view.Entities, out.Single)
+	out.Scale = scale
+	return nil
 }
 
 // StaticLogicalPolicy assigns fixed priorities to logical operators — e.g.
@@ -106,15 +140,12 @@ func (p *StaticLogicalPolicy) Name() string {
 func (p *StaticLogicalPolicy) Metrics() []string { return nil }
 
 // ScheduleLogical implements LogicalPolicy.
-func (p *StaticLogicalPolicy) ScheduleLogical(view *View) (LogicalSchedule, Scale, error) {
-	out := make(LogicalSchedule)
-	seen := make(map[string]bool)
+func (p *StaticLogicalPolicy) ScheduleLogical(view *View, out LogicalSchedule) (Scale, error) {
 	for _, ent := range view.Entities {
 		for _, l := range ent.Logical {
-			if seen[l] {
+			if _, ok := out[l]; ok {
 				continue
 			}
-			seen[l] = true
 			if prio, ok := p.Priorities[l]; ok {
 				out[l] = prio
 			} else {
@@ -122,7 +153,7 @@ func (p *StaticLogicalPolicy) ScheduleLogical(view *View) (LogicalSchedule, Scal
 			}
 		}
 	}
-	return out, ScaleLinear, nil
+	return ScaleLinear, nil
 }
 
 // GroupPerQuery decorates a policy so its schedule also carries a grouping
@@ -136,8 +167,9 @@ type groupPerQuery struct {
 	inner Policy
 	// intern deduplicates derived "query-<name>" group ids so the in-place
 	// path does not rebuild the concatenation every cycle. Lazily created;
-	// access is serialized by the binding's execMu (shared instances share
-	// one mutex).
+	// mu guards it, since one instance may back several canary slots whose
+	// bindings run concurrently.
+	mu     sync.Mutex
 	intern *Interner
 }
 
@@ -172,7 +204,7 @@ func (g *groupPerQuery) Schedule(view *View) (Schedule, error) {
 // ids interned, op slices re-appended within capacity). Falls back to the
 // inner policy's allocating Schedule when it has no in-place path.
 func (g *groupPerQuery) ScheduleInto(view *View, out *Schedule) error {
-	if ip, ok := g.inner.(InPlaceScheduler); ok {
+	if ip := InPlaceOf(g.inner); ip != nil {
 		if err := ip.ScheduleInto(view, out); err != nil {
 			return err
 		}
@@ -182,15 +214,14 @@ func (g *groupPerQuery) ScheduleInto(view *View, out *Schedule) error {
 			return err
 		}
 		out.Scale = sched.Scale
-		for k, v := range sched.Single {
-			out.Single[k] = v
-		}
-	}
-	if g.intern == nil {
-		g.intern = NewInterner()
+		maps.Copy(out.Single, sched.Single)
 	}
 	if out.Groups == nil {
 		out.Groups = make(map[string]Group)
+	}
+	g.mu.Lock()
+	if g.intern == nil {
+		g.intern = NewInterner()
 	}
 	for name, ent := range view.Entities {
 		gid := g.intern.Join("query-", ent.Query)
@@ -199,13 +230,8 @@ func (g *groupPerQuery) ScheduleInto(view *View, out *Schedule) error {
 		grp.Ops = append(grp.Ops, name)
 		out.Groups[gid] = grp
 	}
-	// Drop stale group buckets that gathered no ops this cycle (the caller
-	// only truncated them) so translators never ensure empty cgroups.
-	for gid, grp := range out.Groups {
-		if len(grp.Ops) == 0 {
-			delete(out.Groups, gid)
-		}
-	}
+	g.mu.Unlock()
+	DropEmptyGroups(out)
 	return nil
 }
 

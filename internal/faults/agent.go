@@ -161,4 +161,3 @@ func (a *Agent) gate(op string) error {
 	}
 	return nil
 }
-

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"lachesis/internal/core"
 	"lachesis/internal/driver"
 	"lachesis/internal/guard"
 	"lachesis/internal/span"
@@ -271,10 +272,11 @@ func (f *Fanout) pushOne(now time.Duration, a AgentRecord, conns ConnFactory, ve
 	default:
 		act.End(err)
 	}
-	// A conflict or fenced rejection is a healthy agent saying no — it
-	// closes the breaker like a success; only transport-level failure
-	// counts toward opening.
-	f.settle(now, a.ID, o.OK || o.Conflict || o.Fenced)
+	// Any answer that is not transient — a conflict, a fenced or a bad
+	// request rejection — is a healthy agent saying no: it closes the
+	// breaker like a success. Only transient failure (transport errors,
+	// timeouts, 5xx) counts toward opening.
+	f.settle(now, a.ID, !core.IsTransient(err))
 	switch {
 	case o.OK:
 		f.count(f.ctrPushOK)

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -29,9 +31,9 @@ func (f *flakyAgent) Propose([]byte) (guard.Status, error) {
 	f.proposals++
 	return f.status, nil
 }
-func (f *flakyAgent) Status() (guard.Status, error)  { return f.status, nil }
-func (f *flakyAgent) SLO() (guard.SLOSample, error)  { return guard.SLOSample{}, nil }
-func (f *flakyAgent) proposalsMade() int             { f.mu.Lock(); defer f.mu.Unlock(); return f.proposals }
+func (f *flakyAgent) Status() (guard.Status, error) { return f.status, nil }
+func (f *flakyAgent) SLO() (guard.SLOSample, error) { return guard.SLOSample{}, nil }
+func (f *flakyAgent) proposalsMade() int            { f.mu.Lock(); defer f.mu.Unlock(); return f.proposals }
 
 func oneAgent(c AgentClient) ConnFactory {
 	return func(AgentRecord) AgentClient { return c }
@@ -218,5 +220,38 @@ func TestFanoutBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	}
 	if f.BreakerOpen(now, "a") {
 		t.Fatal("breaker must close after successful probes")
+	}
+}
+
+func TestFanoutBadRequestsKeepBreakerClosed(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "bad policy: policy has no priorities", http.StatusBadRequest)
+	}))
+	defer srv.Close()
+	f := NewFanout(noSleep(FanoutConfig{Attempts: 1, BreakerThreshold: 3, BreakerCooldown: time.Minute}))
+	rec := []AgentRecord{{ID: "a", Addr: srv.URL}}
+	conns := HTTPConnFactory(time.Second)
+	now := time.Duration(0)
+	for i := 0; i < 3; i++ {
+		o := f.Push(now, rec, conns, "v1", []byte(`{}`))[0]
+		if o.OK || o.Conflict || o.Fenced || o.Skipped || o.Err == "" {
+			t.Fatalf("round %d = %+v, want a plain error", i, o)
+		}
+		now += time.Second
+	}
+	if f.BreakerOpen(now, "a") {
+		t.Fatal("400 answers from a reachable agent must not open its breaker")
+	}
+
+	// Transport errors still count: the agent stops answering.
+	srv.Close()
+	for i := 0; i < 3; i++ {
+		if o := f.Push(now, rec, conns, "v1", []byte(`{}`))[0]; o.OK || o.Err == "" {
+			t.Fatalf("round %d against a closed agent = %+v, want an error", i, o)
+		}
+		now += time.Second
+	}
+	if !f.BreakerOpen(now, "a") {
+		t.Fatal("transport failures must open the breaker")
 	}
 }

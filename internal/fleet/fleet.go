@@ -44,6 +44,18 @@ const AuditKindFleet = "fleet"
 // layer maps it to 404 so beacons know to re-register.
 var ErrUnknownAgent = errors.New("fleet: unknown agent")
 
+// Coordinator.Propose refusals. The HTTP layer answers ErrRolloutInFlight
+// with 409, ErrEmptyVersion with 400 and ErrNoActiveAgents with 503.
+var (
+	// ErrRolloutInFlight: a rollout is in progress; a proposal must not
+	// silently displace it.
+	ErrRolloutInFlight = errors.New("fleet: rollout in flight")
+	// ErrEmptyVersion: the candidate carries no version.
+	ErrEmptyVersion = errors.New("fleet: empty candidate version")
+	// ErrNoActiveAgents: no agent holds an active lease to stage on.
+	ErrNoActiveAgents = errors.New("fleet: no active agents")
+)
+
 // ConflictError reports that an agent refused a policy push because a
 // rollout is already in flight on it (HTTP 409). It is not transient:
 // retrying immediately cannot succeed, but the push may still be

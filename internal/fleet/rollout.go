@@ -378,18 +378,19 @@ func (c *Coordinator) LastGood() []byte {
 // drive the push/observe/promote machine. The rollback target is the
 // fleet last-good — the payload itself when there is none yet, which
 // makes a first rollout's rollback a no-op rather than a nil push.
+// Refusals wrap ErrRolloutInFlight, ErrEmptyVersion or ErrNoActiveAgents.
 func (c *Coordinator) Propose(now time.Duration, version string, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.st.Active {
-		return fmt.Errorf("fleet: rollout of %q still in progress", c.st.Version)
+		return fmt.Errorf("%w: %q still in progress", ErrRolloutInFlight, c.st.Version)
 	}
 	if version == "" {
-		return errors.New("fleet: empty candidate version")
+		return ErrEmptyVersion
 	}
 	agents := c.reg.Active()
 	if len(agents) == 0 {
-		return errors.New("fleet: no active agents")
+		return ErrNoActiveAgents
 	}
 	cohorts := c.cohorts(agents)
 	stable := c.st.LastGood

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -250,5 +251,22 @@ func TestRolloutCohortsKeepControlAgent(t *testing.T) {
 	drive(co, 10)
 	if st := co.Status(); st.LastDecision != guard.DecisionPromoted {
 		t.Fatalf("status = %+v, want promoted", st)
+	}
+}
+
+func TestProposeRefusalsAreTyped(t *testing.T) {
+	co := NewCoordinator(RolloutConfig{}, NewRegistry(RegistryConfig{}), newFakeFleet().conns)
+	if err := co.Propose(0, "v2", []byte(`{}`)); !errors.Is(err, ErrNoActiveAgents) {
+		t.Fatalf("Propose with no agents = %v, want ErrNoActiveAgents", err)
+	}
+	co, _, _ = testRollout(t)
+	if err := co.Propose(0, "", []byte(`{}`)); !errors.Is(err, ErrEmptyVersion) {
+		t.Fatalf("Propose without a version = %v, want ErrEmptyVersion", err)
+	}
+	if err := co.Propose(0, "v2", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Propose(0, "v3", []byte(`{}`)); !errors.Is(err, ErrRolloutInFlight) {
+		t.Fatalf("Propose during a rollout = %v, want ErrRolloutInFlight", err)
 	}
 }

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"sync"
 
 	"lachesis/internal/reconcile"
 )
@@ -44,14 +46,29 @@ type leaseDoc struct {
 	Lease  LeaseInfo `json:"lease"`
 }
 
-// Store persists fleet state (registry + rollout) through the same FS
-// abstraction as internal/reconcile, with the same durability ritual:
-// write a temp file, sync, rename into place. Loading tolerates a
+// Store persists fleet state (registry, rollout, lease) through the
+// same FS abstraction as internal/reconcile, with the same durability
+// ritual: write a temp file, sync, rename into place. Files are compact
+// JSON; loading accepts any JSON layout, so state dirs written indented
+// still load. A save whose bytes equal the ones the Store last installed
+// in that file returns at once: that earlier save finished the whole
+// ritual, so the file on disk is already durable. Loading tolerates a
 // corrupt file by reporting ok=false — a damaged state file degrades the
 // warm restart to a cold one, it never prevents startup.
 type Store struct {
 	fs    reconcile.FS
 	warnf func(format string, args ...any)
+
+	registry, rollout, lease storeFile
+}
+
+// storeFile is one state file and the bytes this Store last installed
+// in it. mu serializes saves of the file (the registry, coordinator,
+// lease manager and follower save from their own goroutines).
+type storeFile struct {
+	mu        sync.Mutex
+	tmp, name string
+	installed []byte // nil: unknown, the next save writes
 }
 
 // NewStore creates a fleet store over fs. warnf receives corruption
@@ -60,12 +77,16 @@ func NewStore(fs reconcile.FS, warnf func(format string, args ...any)) *Store {
 	if warnf == nil {
 		warnf = func(string, ...any) {}
 	}
-	return &Store{fs: fs, warnf: warnf}
+	return &Store{fs: fs, warnf: warnf,
+		registry: storeFile{tmp: registryTmpFile, name: RegistryFile},
+		rollout:  storeFile{tmp: rolloutTmpFile, name: RolloutFile},
+		lease:    storeFile{tmp: leaseTmpFile, name: LeaseFile},
+	}
 }
 
 // SaveRegistry atomically persists the agent registry.
 func (s *Store) SaveRegistry(agents []AgentRecord) error {
-	return s.save(registryTmpFile, RegistryFile, registryDoc{Format: storeFormat, Agents: agents})
+	return s.save(&s.registry, registryDoc{Format: storeFormat, Agents: agents})
 }
 
 // LoadRegistry reads the persisted registry. ok is false when the file
@@ -90,7 +111,7 @@ func (s *Store) LoadRegistry() ([]AgentRecord, bool, error) {
 // coordinator calls it on every transition, so a crash resumes the
 // rollout at the phase it had reached.
 func (s *Store) SaveRollout(r RolloutState) error {
-	return s.save(rolloutTmpFile, RolloutFile, rolloutDoc{Format: storeFormat, Rollout: r})
+	return s.save(&s.rollout, rolloutDoc{Format: storeFormat, Rollout: r})
 }
 
 // LoadRollout reads the persisted rollout state. ok is false when the
@@ -116,7 +137,7 @@ func (s *Store) LoadRollout() (RolloutState, bool, error) {
 // acquisition and renewal, so a restarted coordinator can never reuse
 // an epoch it already burned.
 func (s *Store) SaveLease(info LeaseInfo) error {
-	return s.save(leaseTmpFile, LeaseFile, leaseDoc{Format: storeFormat, Lease: info})
+	return s.save(&s.lease, leaseDoc{Format: storeFormat, Lease: info})
 }
 
 // LoadLease reads the persisted lease view. ok is false when the file
@@ -139,17 +160,36 @@ func (s *Store) LoadLease() (LeaseInfo, bool, error) {
 	return doc.Lease, true, nil
 }
 
-// save writes doc to tmp, syncs, renames over dst.
-func (s *Store) save(tmp, dst string, doc any) error {
-	b, err := json.MarshalIndent(doc, "", "  ")
+// save installs doc in f: write the temp file, sync, rename over the
+// file. Bytes equal to the last installed ones are already durable and
+// are not written again. A failed step forgets the installed bytes, so
+// the next save runs the whole ritual.
+func (s *Store) save(f *storeFile, doc any) error {
+	b, err := json.Marshal(doc)
 	if err != nil {
 		return err
 	}
+	b = append(b, '\n')
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if bytes.Equal(b, f.installed) {
+		return nil
+	}
+	f.installed = nil
+	if err := s.install(f.tmp, f.name, b); err != nil {
+		return err
+	}
+	f.installed = b
+	return nil
+}
+
+// install writes b to tmp, syncs, renames over dst.
+func (s *Store) install(tmp, dst string, b []byte) error {
 	f, err := s.fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("create %s: %w", tmp, err)
 	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
+	if _, err := f.Write(b); err != nil {
 		f.Close()
 		return fmt.Errorf("write %s: %w", tmp, err)
 	}

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"encoding/json"
+	"errors"
 	"testing"
 
 	"lachesis/internal/guard"
@@ -147,5 +149,145 @@ func TestStoreTruncatedTailDegradesToColdStart(t *testing.T) {
 	}
 	if warned != 3 {
 		t.Fatalf("warned %d times, want 3 (one per truncated file)", warned)
+	}
+}
+
+// faultFS is a MemFS whose writes or renames fail on demand. A failing
+// rename still moves the file first: the error a filesystem may report
+// after the rename took effect.
+type faultFS struct {
+	*reconcile.MemFS
+	failWrite, failRename bool
+}
+
+func (f *faultFS) Create(name string) (reconcile.File, error) {
+	file, err := f.MemFS.Create(name)
+	if err != nil || !f.failWrite {
+		return file, err
+	}
+	return failingFile{file}, nil
+}
+
+func (f *faultFS) Rename(oldname, newname string) error {
+	if err := f.MemFS.Rename(oldname, newname); err != nil || !f.failRename {
+		return err
+	}
+	return errors.New("injected rename failure")
+}
+
+type failingFile struct{ reconcile.File }
+
+func (failingFile) Write([]byte) (int, error) { return 0, errors.New("injected write failure") }
+
+func TestStoreSkipsIdenticalSave(t *testing.T) {
+	fs := reconcile.NewMemFS()
+	s := NewStore(fs, nil)
+	agents := []AgentRecord{{ID: "a", Addr: "a:1", State: LeaseActive}}
+	if err := s.SaveRegistry(agents); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveRollout(RolloutState{Version: "v1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveLease(LeaseInfo{Epoch: 3, Holder: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	syncs := fs.Syncs
+	if err := s.SaveRegistry([]AgentRecord{{ID: "a", Addr: "a:1", State: LeaseActive}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveRollout(RolloutState{Version: "v1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveLease(LeaseInfo{Epoch: 3, Holder: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Syncs != syncs {
+		t.Fatalf("identical re-saves issued %d syncs, want 0", fs.Syncs-syncs)
+	}
+	if err := s.SaveLease(LeaseInfo{Epoch: 4, Holder: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Syncs != syncs+1 {
+		t.Fatalf("a changed save issued %d syncs, want 1", fs.Syncs-syncs)
+	}
+}
+
+func TestStoreChangedSaveAfterSkipSurvivesCrash(t *testing.T) {
+	fs := reconcile.NewMemFS()
+	s := NewStore(fs, nil)
+	for _, v := range []string{"v1", "v1", "v2"} {
+		if err := s.SaveRollout(RolloutState{Active: true, Version: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.DropUnsynced()
+	got, ok, err := NewStore(fs, nil).LoadRollout()
+	if err != nil || !ok || got.Version != "v2" {
+		t.Fatalf("after crash LoadRollout = %+v ok=%v err=%v, want v2", got, ok, err)
+	}
+}
+
+func TestStoreRetriesFailedSaveInFull(t *testing.T) {
+	fs := &faultFS{MemFS: reconcile.NewMemFS()}
+	s := NewStore(fs, nil)
+	if err := s.SaveLease(LeaseInfo{Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A failed write leaves the installed file alone; the same save
+	// afterwards runs the whole ritual.
+	fs.failWrite = true
+	if err := s.SaveLease(LeaseInfo{Epoch: 2}); err == nil {
+		t.Fatal("save over a failing write succeeded")
+	}
+	fs.failWrite = false
+	syncs := fs.Syncs
+	if err := s.SaveLease(LeaseInfo{Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Syncs != syncs+1 {
+		t.Fatalf("retried save issued %d syncs, want 1", fs.Syncs-syncs)
+	}
+
+	// A rename that took effect but reported an error leaves epoch 3 on
+	// disk: re-saving epoch 2 must not be skipped as already installed.
+	fs.failRename = true
+	if err := s.SaveLease(LeaseInfo{Epoch: 3}); err == nil {
+		t.Fatal("save over a failing rename succeeded")
+	}
+	fs.failRename = false
+	if err := s.SaveLease(LeaseInfo{Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	fs.DropUnsynced()
+	got, ok, err := NewStore(fs, nil).LoadLease()
+	if err != nil || !ok || got.Epoch != 2 {
+		t.Fatalf("LoadLease = %+v ok=%v err=%v, want epoch 2", got, ok, err)
+	}
+}
+
+func TestStoreLoadsIndentedFiles(t *testing.T) {
+	// State dirs written before files were compact hold indented JSON.
+	fs := reconcile.NewMemFS()
+	indent := func(doc any) []byte {
+		b, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	fs.SetFile(RegistryFile, indent(registryDoc{Format: storeFormat, Agents: []AgentRecord{{ID: "a", Addr: "a:1"}}}))
+	fs.SetFile(RolloutFile, indent(rolloutDoc{Format: storeFormat, Rollout: RolloutState{Active: true, Version: "v3"}}))
+	fs.SetFile(LeaseFile, indent(leaseDoc{Format: storeFormat, Lease: LeaseInfo{Epoch: 5, Holder: "b"}}))
+	s := NewStore(fs, nil)
+	if agents, ok, err := s.LoadRegistry(); err != nil || !ok || len(agents) != 1 || agents[0].ID != "a" {
+		t.Fatalf("LoadRegistry = %+v ok=%v err=%v", agents, ok, err)
+	}
+	if r, ok, err := s.LoadRollout(); err != nil || !ok || r.Version != "v3" {
+		t.Fatalf("LoadRollout = %+v ok=%v err=%v", r, ok, err)
+	}
+	if l, ok, err := s.LoadLease(); err != nil || !ok || l.Epoch != 5 {
+		t.Fatalf("LoadLease = %+v ok=%v err=%v", l, ok, err)
 	}
 }

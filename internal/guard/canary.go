@@ -3,6 +3,7 @@ package guard
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"time"
@@ -94,7 +95,7 @@ type Slot struct {
 	candidate core.Policy // non-nil while this slot carries the candidate
 }
 
-var _ core.Policy = (*Slot)(nil)
+var _ core.InPlaceScheduler = (*Slot)(nil)
 
 // Name implements core.Policy.
 func (s *Slot) Name() string { return s.name }
@@ -110,13 +111,54 @@ func (s *Slot) Metrics() []string {
 
 // Schedule implements core.Policy.
 func (s *Slot) Schedule(view *core.View) (core.Schedule, error) {
-	s.mu.Lock()
-	p := s.stable
-	if s.candidate != nil {
-		p = s.candidate
+	return s.active().Schedule(view)
+}
+
+// ScheduleInto implements core.InPlaceScheduler: an active policy with
+// its own in-place path writes into out directly, any other one's
+// Schedule is copied in. Either way, group buckets left without ops are
+// dropped, since the previous cycle may have run a policy with other
+// groups.
+func (s *Slot) ScheduleInto(view *core.View, out *core.Schedule) error {
+	p := s.active()
+	if ip := core.InPlaceOf(p); ip != nil {
+		if err := ip.ScheduleInto(view, out); err != nil {
+			return err
+		}
+	} else {
+		sched, err := p.Schedule(view)
+		if err != nil {
+			return err
+		}
+		out.Scale = sched.Scale
+		maps.Copy(out.Single, sched.Single)
+		if len(sched.Groups) > 0 && out.Groups == nil {
+			out.Groups = make(map[string]core.Group, len(sched.Groups))
+		}
+		for gid, g := range sched.Groups {
+			// Copy the ops into out's own bucket: out reuses it next
+			// cycle, and the slice belongs to the policy.
+			grp := out.Groups[gid]
+			grp.Priority = g.Priority
+			grp.Ops = append(grp.Ops, g.Ops...)
+			out.Groups[gid] = grp
+		}
 	}
-	s.mu.Unlock()
-	return p.Schedule(view)
+	core.DropEmptyGroups(out)
+	return nil
+}
+
+// InPlaceTarget implements core.InPlaceScheduler.
+func (s *Slot) InPlaceTarget() core.Policy { return s }
+
+// active returns the policy the slot runs now.
+func (s *Slot) active() core.Policy {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.candidate != nil {
+		return s.candidate
+	}
+	return s.stable
 }
 
 // Canarying reports whether the slot currently runs the candidate.
